@@ -69,8 +69,9 @@ int main() {
         WallTimer t;
         ParallelFor(kViews, threads, [&](size_t b, size_t e, int) {
           for (size_t i = b; i < e; ++i) {
-            Result<GraphView> view = ZoomOutView(*snap, {"dealer"}, 1);
+            Result<GraphView> view = GraphView::MakeIdentity(*snap);
             Check(view.status());
+            Check(view->ApplyZoomOut({"dealer"}, 1));
           }
         });
         return t.ElapsedMillis();

@@ -75,11 +75,13 @@ int main() {
         targets.erase(targets.begin(), targets.end() - 50);
       }
 
+      Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
+      Check(snap.status());
       double total_ms = 0, max_ms = 0;
       size_t max_sub = 0;
       for (NodeId id : targets) {
         WallTimer timer;
-        auto sub = *SubgraphQuery(graph, id);
+        std::vector<NodeId> sub = *SubgraphNodes(*snap, id);
         double ms = timer.ElapsedMillis();
         total_ms += ms;
         max_ms = std::max(max_ms, ms);
@@ -131,7 +133,7 @@ int main() {
       WallTimer t;
       ParallelFor(batch.size(), threads, [&](size_t b, size_t e, int) {
         for (size_t i = b; i < e; ++i) {
-          Check(SubgraphQuery(*snap, batch[i]).status());
+          Check(SubgraphNodes(*snap, batch[i]).status());
         }
       });
       return t.ElapsedMillis();

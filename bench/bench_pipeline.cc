@@ -48,8 +48,8 @@ int main() {
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
   Check(snap.status());
 
-  auto outputs = FindNodes(graph, And(ByRole(NodeRole::kModuleOutput),
-                                      ByModule(graph, "aggregate")));
+  auto outputs = FindNodes(*snap, And(ByRole(NodeRole::kModuleOutput),
+                                      ByModule(*snap, "aggregate")));
   if (outputs.empty()) {
     std::fprintf(stderr, "bench error: no aggregate outputs\n");
     return 1;

@@ -39,16 +39,16 @@ int main() {
         sale = inv.output_nodes.back();
       }
     }
-    auto ancestors = Ancestors(graph, sale);
+    Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
+    Check(snap.status());
     size_t state_total = 0, state_used = 0, inputs_used = 0;
-    graph.ForEachAliveNode([&](NodeId id) {
-      NodeRole role = graph.node(id).role();
-      if (role == NodeRole::kStateBase) {
-        ++state_total;
-        state_used += ancestors.count(id) ? 1 : 0;
-      } else if (role == NodeRole::kWorkflowInput) {
-        inputs_used += ancestors.count(id) ? 1 : 0;
-      }
+    for (NodeId id : Ancestors(*snap, sale)) {
+      NodeRole role = snap->node(id).role();
+      state_used += role == NodeRole::kStateBase ? 1 : 0;
+      inputs_used += role == NodeRole::kWorkflowInput ? 1 : 0;
+    }
+    snap->ForEachAliveNode([&](NodeId id) {
+      state_total += snap->node(id).role() == NodeRole::kStateBase ? 1 : 0;
     });
     char frac[32];
     std::snprintf(frac, sizeof(frac), "%.2f%%",

@@ -64,12 +64,14 @@ int main() {
       global_min = inv.output_nodes.back();
     }
   }
-  auto ancestors = Ancestors(graph, global_min);
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
+  Check(snap.status());
   size_t used = 0, total = 0;
-  graph.ForEachAliveNode([&](NodeId id) {
-    if (graph.node(id).role() != NodeRole::kStateBase) return;
-    ++total;
-    used += ancestors.count(id) ? 1 : 0;
+  for (NodeId id : Ancestors(*snap, global_min)) {
+    used += snap->node(id).role() == NodeRole::kStateBase ? 1 : 0;
+  }
+  snap->ForEachAliveNode([&](NodeId id) {
+    total += snap->node(id).role() == NodeRole::kStateBase ? 1 : 0;
   });
   std::printf(
       "the last global minimum depends on %zu of %zu stored observations "

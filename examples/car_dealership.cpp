@@ -8,8 +8,10 @@
 //   "Which cars affected the computation of this winning bid?"
 //   "Was the sale affected by the presence of some other car?"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "provenance/deletion.h"
 #include "provenance/subgraph.h"
@@ -66,12 +68,19 @@ int main() {
     std::printf("no sale happened; nothing to analyze\n");
     return 0;
   }
-  auto ancestors = Ancestors(graph, sale);
+  // Queries read an immutable snapshot of the sealed graph.
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
+  Check(snap.status());
+  std::vector<NodeId> ancestors = Ancestors(*snap, sale);
+  std::sort(ancestors.begin(), ancestors.end());
+  auto in_ancestry = [&ancestors](NodeId id) {
+    return std::binary_search(ancestors.begin(), ancestors.end(), id);
+  };
   size_t cars_used = 0, state_total = 0;
   graph.ForEachAliveNode([&](NodeId id) {
     if (graph.node(id).role() != NodeRole::kStateBase) return;
     ++state_total;
-    if (ancestors.count(id)) ++cars_used;
+    if (in_ancestry(id)) ++cars_used;
   });
   std::printf("the sale derives from %zu of %zu state tuples (%.1f%%)\n",
               cars_used, state_total, 100.0 * cars_used / state_total);
@@ -83,8 +92,8 @@ int main() {
   NodeId used = kInvalidNode, unused = kInvalidNode;
   graph.ForEachAliveNode([&](NodeId id) {
     if (graph.node(id).role() != NodeRole::kStateBase) return;
-    if (ancestors.count(id) && used == kInvalidNode) used = id;
-    if (!ancestors.count(id) && unused == kInvalidNode) unused = id;
+    if (in_ancestry(id) && used == kInvalidNode) used = id;
+    if (!in_ancestry(id) && unused == kInvalidNode) unused = id;
   });
   if (used != kInvalidNode) {
     std::printf("car %s entered the sale's derivation: yes\n",
@@ -93,7 +102,7 @@ int main() {
     // deletion of any single car because the dealership's aggregates can
     // be re-derived from the remaining inventory (paper Example 4.3).
     std::printf("  ... but the sale's existence depends on it: %s\n",
-                *DependsOn(graph, sale, used) ? "yes" : "no");
+                *DependsOn(*snap, sale, used) ? "yes" : "no");
   }
   if (unused != kInvalidNode) {
     std::printf("car %s entered the sale's derivation: no\n",
@@ -111,13 +120,14 @@ int main() {
   });
   if (last_request != kInvalidNode) {
     std::printf("the sale's existence depends on the accepted request: %s\n",
-                *DependsOn(graph, sale, last_request) ? "yes" : "no");
+                *DependsOn(*snap, sale, last_request) ? "yes" : "no");
   }
 
   // --- Flexible granularity ---
   // Zoom out of everything except the aggregator: an analyst studying how
   // the best bid was computed keeps Magg fine-grained and views the rest
-  // coarsely.
+  // coarsely. Zooming mutates the graph, which invalidates `snap`; it is
+  // not read again below.
   Zoomer zoomer(&graph);
   Check(zoomer.ZoomOut({"dealer", "request", "choice", "and", "xor", "car"}));
   std::printf(

@@ -5,7 +5,9 @@
 // `stats` keeps every number it ever saw in its state and reports the
 // running sum, so repeated executions demonstrate module state.
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "provenance/deletion.h"
 #include "provenance/semiring.h"
@@ -75,13 +77,16 @@ int main() {
     last_total = total.bag.at(0).annot;
   }
 
-  // 4. Inspect the provenance graph.
+  // 4. Inspect the provenance graph. Every read goes through an immutable
+  //    snapshot of the sealed graph.
   graph.Seal();
   std::printf("\nprovenance graph: %zu nodes, %zu edges, %zu invocations\n",
               graph.num_alive(), graph.num_edges(),
               graph.invocations().size());
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
+  Check(snap.status());
   std::printf("provenance of the last total:\n  %s\n",
-              ProvExpressionString(graph, last_total, 6).c_str());
+              ProvExpressionString(*snap, last_total, 6).c_str());
 
   // 5. What-if: delete the first execution's input. Two different
   //    questions (Section 4):
@@ -97,13 +102,17 @@ int main() {
       first_input = id;
     }
   });
-  auto ancestry = Ancestors(graph, last_total);
+  std::vector<NodeId> ancestry = Ancestors(*snap, last_total);
+  bool derived = std::find(ancestry.begin(), ancestry.end(), first_input) !=
+                 ancestry.end();
   std::printf("\nfirst input is in the last total's derivation: %s\n",
-              ancestry.count(first_input) ? "yes" : "no");
+              derived ? "yes" : "no");
   std::printf("last total's existence depends on it: %s\n",
-              *DependsOn(graph, last_total, first_input) ? "yes" : "no");
+              *DependsOn(*snap, last_total, first_input) ? "yes" : "no");
 
   // 6. ZoomOut hides the stats module's internals; ZoomIn restores them.
+  //    Zooming mutates the graph, which invalidates `snap`; it is not read
+  //    again below.
   Zoomer zoomer(&graph);
   size_t fine = graph.num_alive();
   Check(zoomer.ZoomOut({"stats"}));

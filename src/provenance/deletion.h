@@ -1,7 +1,6 @@
 #ifndef LIPSTICK_PROVENANCE_DELETION_H_
 #define LIPSTICK_PROVENANCE_DELETION_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -18,11 +17,9 @@ namespace lipstick {
 /// they are seeds — matching the paper's Example 4.4, where deleting the
 /// bid request erases everything except state tuples and invocations.
 ///
-/// Returns the full set of deleted nodes (including the seeds). Fails with
-/// kInvalidArgument if the graph is not sealed.
-Result<std::unordered_set<NodeId>> ComputeDeletionSet(
-    const ProvenanceGraph& graph, const std::vector<NodeId>& seeds);
-Result<std::unordered_set<NodeId>> ComputeDeletionSet(
+/// Returns the deleted nodes (seeds first) in propagation order. Fails
+/// with kInvalidArgument if the graph is not sealed.
+Result<std::vector<NodeId>> ComputeDeletionSet(
     const GraphSnapshot& snap, const std::vector<NodeId>& seeds);
 
 /// Applies ComputeDeletionSet and materializes it: deleted nodes are marked
@@ -34,10 +31,18 @@ Result<size_t> PropagateDeletion(ProvenanceGraph* graph, NodeId seed);
 /// the existence of `source`? Answered by checking whether `target` is
 /// deleted when the deletion of `source` is propagated. Non-mutating.
 /// Fails with kInvalidArgument if the graph is not sealed.
-Result<bool> DependsOn(const ProvenanceGraph& graph, NodeId target,
-                       NodeId source);
 Result<bool> DependsOn(const GraphSnapshot& snap, NodeId target,
                        NodeId source);
+
+namespace internal {
+
+/// True iff propagating the deletion of `seeds` deletes `target` — the
+/// dependency queries' test, answered on a leased bitmap. Fails with
+/// kInvalidArgument if the graph is not sealed.
+Result<bool> DeletionReaches(const GraphSnapshot& snap,
+                             const std::vector<NodeId>& seeds, NodeId target);
+
+}  // namespace internal
 
 }  // namespace lipstick
 

@@ -255,25 +255,9 @@ Status WriteDot(const GraphSnapshot& snap, std::ostream& os,
   return WriteDotCore(SnapshotSource{snap}, os, options);
 }
 
-Status WriteDot(const ProvenanceGraph& graph, std::ostream& os,
-                const DotOptions& options) {
-  // Rendering reads parent edges only, so unsealed graphs stay writable.
-  GraphSnapshot snap = GraphSnapshot::CaptureForParents(graph);
-  return WriteDot(snap, os, options);
-}
-
 Status WriteDot(const GraphView& view, std::ostream& os,
                 const DotOptions& options) {
   return WriteDotCore(ViewSource{view}, os, options);
-}
-
-Status WriteDotToFile(const ProvenanceGraph& graph, const std::string& path,
-                      const DotOptions& options) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::IOError(StrCat("cannot open ", path, " for writing"));
-  }
-  return WriteDot(graph, out, options);
 }
 
 Status WriteDotToFile(const GraphView& view, const std::string& path,

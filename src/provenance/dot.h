@@ -28,18 +28,14 @@ struct DotOptions {
 /// Writes the graph in Graphviz DOT format. Labels are streamed straight
 /// to `os` (no per-document string is built) with bounds-checked payload
 /// resolution, so a corrupt .pg file renders as empty labels instead of
-/// crashing. The snapshot form is the core; the graph form captures one
-/// internally (parent edges only — works unsealed).
+/// crashing. Rendering reads parent edges only, so a CaptureForParents
+/// snapshot of an unsealed graph renders too.
 Status WriteDot(const GraphSnapshot& snap, std::ostream& os,
-                const DotOptions& options = {});
-Status WriteDot(const ProvenanceGraph& graph, std::ostream& os,
                 const DotOptions& options = {});
 /// Renders a lazy view without materializing it: byte-identical to
 /// WriteDot(view.Materialize()) on the same options.
 Status WriteDot(const GraphView& view, std::ostream& os,
                 const DotOptions& options = {});
-Status WriteDotToFile(const ProvenanceGraph& graph, const std::string& path,
-                      const DotOptions& options = {});
 Status WriteDotToFile(const GraphView& view, const std::string& path,
                       const DotOptions& options = {});
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <map>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "common/str_util.h"
@@ -110,45 +109,6 @@ Result<std::string> RenderTerminalOnSnapshot(const GraphSnapshot& snap,
 /// view's adjacency (mask + synthetic zoom nodes + parent rewirings), so
 /// their output matches running the terminal on the materialized graph.
 /// ------------------------------------------------------------------
-
-/// Deletion propagation over the view's adjacency; mirrors
-/// ComputeDeletionSet (deletion.cc) with Contains -> VisibleOrSynthetic.
-std::vector<NodeId> ViewDeletionOrder(const GraphView& view,
-                                      const std::vector<NodeId>& seeds) {
-  GraphView::ChildOverlay overlay = view.BuildChildOverlay();
-  std::unordered_set<NodeId> deleted;
-  std::vector<NodeId> order;
-  std::unordered_map<NodeId, size_t> lost_edges;
-  for (NodeId s : seeds) {
-    if (view.VisibleOrSynthetic(s) && deleted.insert(s).second) {
-      order.push_back(s);
-    }
-  }
-  auto alive_parent_count = [&view](NodeId id) {
-    size_t n = 0;
-    for (NodeId p : view.ParentsOf(id)) {
-      n += view.VisibleOrSynthetic(p) ? 1 : 0;
-    }
-    return n;
-  };
-  size_t head = 0;
-  while (head < order.size()) {
-    NodeId dead = order[head++];
-    view.ForEachChild(dead, overlay, [&](NodeId child) {
-      if (deleted.count(child)) return;
-      size_t lost = ++lost_edges[child];
-      NodeLabel cl = view.IsSynthetic(child)
-                         ? NodeLabel::kZoomedModule
-                         : view.snapshot().node(child).label();
-      bool joint = cl == NodeLabel::kTimes || cl == NodeLabel::kTensor;
-      if (joint || lost >= alive_parent_count(child)) {
-        deleted.insert(child);
-        order.push_back(child);
-      }
-    });
-  }
-  return order;
-}
 
 Result<GraphStats> ComputeViewStats(const GraphView& view) {
   const GraphSnapshot& snap = view.snapshot();
@@ -319,7 +279,7 @@ Result<std::string> RenderTerminalOnView(const GraphView& view,
         return std::string("no\n");
       }
       if (op.target == op.source) return std::string("yes\n");
-      std::vector<NodeId> deleted = ViewDeletionOrder(view, {op.source});
+      std::vector<NodeId> deleted = view.DeletionOrder({op.source});
       bool dep = std::find(deleted.begin(), deleted.end(), op.target) !=
                  deleted.end();
       return std::string(dep ? "yes\n" : "no\n");
@@ -527,14 +487,21 @@ Result<std::string> ExecutePlanNaive(const GraphSnapshot& snap,
 }
 
 Result<GraphView> BuildPlanView(const GraphSnapshot& snap, const Plan& plan,
-                                int threads) {
+                                int threads, std::string* summary) {
   if (threads < 1) threads = 1;
   Result<GraphView> identity = GraphView::MakeIdentity(snap);
   if (!identity.ok()) return identity.status();
   GraphView view = std::move(*identity);
-  for (size_t i = 0; i < plan.NumViewOps(); ++i) {
+  size_t view_ops = plan.NumViewOps();
+  size_t last_removed = 0;
+  for (size_t i = 0; i < view_ops; ++i) {
     Result<size_t> removed = ApplyStage(&view, plan.ops[i], threads);
     if (!removed.ok()) return removed.status();
+    last_removed = *removed;
+  }
+  if (summary != nullptr && view_ops > 0) {
+    *summary = RenderViewSummary(plan.ops[view_ops - 1], view.num_visible(),
+                                 last_removed);
   }
   return view;
 }

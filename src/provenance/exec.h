@@ -97,9 +97,12 @@ Result<std::string> ExecutePlanNaive(const GraphSnapshot& snap,
                                      const Plan& plan, int threads = 1);
 
 /// Composes the plan's view stages (ignoring any terminal) into one view,
-/// for export paths (`--out` dot / provio rendering of a pipeline result).
+/// for export paths (`--out` dot / provio rendering of a view query). When
+/// `summary` is non-null it receives the line ExecutePlan prints for a
+/// plan ending in its last view stage.
 Result<GraphView> BuildPlanView(const GraphSnapshot& snap, const Plan& plan,
-                                int threads = 1);
+                                int threads = 1,
+                                std::string* summary = nullptr);
 
 }  // namespace lipstick
 

@@ -24,11 +24,9 @@ namespace lipstick {
 /// Fine-grained internals (operator nodes, state, aggregation structure)
 /// have no OPM counterpart and are omitted — which is precisely the
 /// information loss the paper's model repairs; exporting makes the
-/// difference inspectable.
+/// difference inspectable. The export reads parent edges only, so a
+/// CaptureForParents snapshot of an unsealed graph works too.
 Status WriteOpmXml(const GraphSnapshot& snap, std::ostream& os);
-Status WriteOpmXml(const ProvenanceGraph& graph, std::ostream& os);
-Status WriteOpmXmlToFile(const ProvenanceGraph& graph,
-                         const std::string& path);
 
 }  // namespace lipstick
 

@@ -22,8 +22,9 @@ Status SaveGraph(const ProvenanceGraph& graph, std::ostream& os);
 /// Writes `graph` to the file at `path`.
 Status SaveGraphToFile(const ProvenanceGraph& graph, const std::string& path);
 
-/// Reads a graph previously written by SaveGraph. The result is unsealed;
-/// call Seal() before querying (benchmarks measure exactly this
+/// Reads a graph previously written by SaveGraph (format v2, the only one
+/// it writes; other versions fail with ParseError). The result is
+/// unsealed; call Seal() before querying (benchmarks measure exactly this
 /// read + build + seal cost, cf. Figure 6).
 Result<ProvenanceGraph> LoadGraph(std::istream& is);
 Result<ProvenanceGraph> LoadGraphFromFile(const std::string& path);

@@ -23,11 +23,11 @@ NodePredicate ByPayload(const std::string& substring) {
   };
 }
 
-NodePredicate ByModule(const ProvenanceGraph& graph, std::string module) {
-  const ProvenanceGraph* g = &graph;
+NodePredicate ByModule(const GraphSnapshot& snap, std::string module) {
+  const ProvenanceGraph* g = &snap.graph();
   // Interned names make this an integer comparison per node; a module
   // name absent from the pool can never match.
-  StrId module_id = graph.strings().Find(module);
+  StrId module_id = snap.strings().Find(module);
   return [g, module_id](NodeId, const NodeView& n) {
     if (module_id == kStrNotFound) return false;
     uint32_t inv = n.invocation();
@@ -35,10 +35,6 @@ NodePredicate ByModule(const ProvenanceGraph& graph, std::string module) {
     if (inv >= g->invocations().size()) return false;
     return g->invocations()[inv].module_name == module_id;
   };
-}
-
-NodePredicate ByModule(const GraphSnapshot& snap, std::string module) {
-  return ByModule(snap.graph(), std::move(module));
 }
 
 NodePredicate And(NodePredicate a, NodePredicate b) {
@@ -88,12 +84,6 @@ std::vector<NodeId> FindNodes(const GraphSnapshot& snap,
   return out;
 }
 
-std::vector<NodeId> FindNodes(const ProvenanceGraph& graph,
-                              const NodePredicate& pred) {
-  GraphSnapshot snap = GraphSnapshot::CaptureForParents(graph);
-  return FindNodes(snap, pred, 1);
-}
-
 Result<std::vector<NodeId>> ShortestDerivationPath(const GraphSnapshot& snap,
                                                    NodeId from, NodeId to) {
   LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap.graph(), "path queries"));
@@ -128,42 +118,16 @@ Result<std::vector<NodeId>> ShortestDerivationPath(const GraphSnapshot& snap,
   return path;
 }
 
-Result<std::vector<NodeId>> ShortestDerivationPath(
-    const ProvenanceGraph& graph, NodeId from, NodeId to) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(graph, "path queries"));
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) return snap.status();
-  return ShortestDerivationPath(*snap, from, to);
-}
-
 Result<bool> PathExists(const GraphSnapshot& snap, NodeId from, NodeId to) {
   LIPSTICK_ASSIGN_OR_RETURN(std::vector<NodeId> path,
                             ShortestDerivationPath(snap, from, to));
   return !path.empty();
 }
 
-Result<bool> PathExists(const ProvenanceGraph& graph, NodeId from,
-                        NodeId to) {
-  LIPSTICK_ASSIGN_OR_RETURN(std::vector<NodeId> path,
-                            ShortestDerivationPath(graph, from, to));
-  return !path.empty();
-}
-
 Result<bool> DependsOnSet(const GraphSnapshot& snap, NodeId target,
                           const std::vector<NodeId>& sources) {
   if (!snap.Contains(target)) return false;
-  LIPSTICK_ASSIGN_OR_RETURN(std::unordered_set<NodeId> deleted,
-                            ComputeDeletionSet(snap, sources));
-  return deleted.count(target) > 0;
-}
-
-Result<bool> DependsOnSet(const ProvenanceGraph& graph, NodeId target,
-                          const std::vector<NodeId>& sources) {
-  if (!graph.Contains(target)) return false;
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(graph, "deletion propagation"));
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) return snap.status();
-  return DependsOnSet(*snap, target, sources);
+  return internal::DeletionReaches(snap, sources, target);
 }
 
 Result<GraphStats> ComputeGraphStats(const GraphSnapshot& snap) {
@@ -208,13 +172,6 @@ Result<GraphStats> ComputeGraphStats(const GraphSnapshot& snap) {
     stats.depth = std::max(stats.depth, depth_at(id));
   });
   return stats;
-}
-
-Result<GraphStats> ComputeGraphStats(const ProvenanceGraph& graph) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(graph, "ComputeGraphStats"));
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) return snap.status();
-  return ComputeGraphStats(*snap);
 }
 
 }  // namespace lipstick

@@ -16,9 +16,10 @@ namespace lipstick {
 /// selections and reachability patterns used in its examples, composed
 /// with the zoom / deletion transformations of Section 4).
 ///
-/// Every query has a GraphSnapshot form — the unified read path — safe for
-/// any number of concurrent callers over one snapshot; the ProvenanceGraph
-/// forms capture a snapshot internally and delegate.
+/// Every query reads a GraphSnapshot — the unified read path — and is safe
+/// for any number of concurrent callers over one snapshot. Capture one with
+/// GraphSnapshot::Capture (or CaptureForParents for parent-only reads of an
+/// unsealed graph).
 
 /// Predicate over nodes (views into the columnar storage).
 using NodePredicate = std::function<bool(NodeId, const NodeView&)>;
@@ -29,7 +30,6 @@ NodePredicate ByRole(NodeRole role);
 /// Payload contains `substring` (token names, module names, agg ops...).
 NodePredicate ByPayload(const std::string& substring);
 /// Node belongs to an invocation of the given module name.
-NodePredicate ByModule(const ProvenanceGraph& graph, std::string module);
 NodePredicate ByModule(const GraphSnapshot& snap, std::string module);
 NodePredicate And(NodePredicate a, NodePredicate b);
 NodePredicate Or(NodePredicate a, NodePredicate b);
@@ -38,8 +38,6 @@ NodePredicate Not(NodePredicate p);
 /// All alive nodes satisfying `pred`, in deterministic id order at any
 /// thread count. The predicate must be thread-safe when `num_threads` > 1
 /// (all the constructors above are).
-std::vector<NodeId> FindNodes(const ProvenanceGraph& graph,
-                              const NodePredicate& pred);
 std::vector<NodeId> FindNodes(const GraphSnapshot& snap,
                               const NodePredicate& pred,
                               int num_threads = 1);
@@ -47,13 +45,10 @@ std::vector<NodeId> FindNodes(const GraphSnapshot& snap,
 /// True if an alive directed path `from -> ... -> to` exists (derivation
 /// order: edges point from inputs to results). Fails with kInvalidArgument
 /// if the graph is not sealed.
-Result<bool> PathExists(const ProvenanceGraph& graph, NodeId from, NodeId to);
 Result<bool> PathExists(const GraphSnapshot& snap, NodeId from, NodeId to);
 
 /// One shortest derivation path from `from` to `to` (node ids, inclusive),
 /// or empty if none. Fails with kInvalidArgument if the graph is not sealed.
-Result<std::vector<NodeId>> ShortestDerivationPath(
-    const ProvenanceGraph& graph, NodeId from, NodeId to);
 Result<std::vector<NodeId>> ShortestDerivationPath(const GraphSnapshot& snap,
                                                    NodeId from, NodeId to);
 
@@ -61,8 +56,6 @@ Result<std::vector<NodeId>> ShortestDerivationPath(const GraphSnapshot& snap,
 /// the existence of `target` depend on the *joint* existence of `sources`,
 /// i.e. is `target` deleted when all of `sources` are deleted together?
 /// Fails with kInvalidArgument if the graph is not sealed.
-Result<bool> DependsOnSet(const ProvenanceGraph& graph, NodeId target,
-                          const std::vector<NodeId>& sources);
 Result<bool> DependsOnSet(const GraphSnapshot& snap, NodeId target,
                           const std::vector<NodeId>& sources);
 
@@ -77,7 +70,6 @@ struct GraphStats {
   size_t depth = 0;        // longest derivation path length (edges)
 };
 /// Fails with kInvalidArgument if the graph is not sealed.
-Result<GraphStats> ComputeGraphStats(const ProvenanceGraph& graph);
 Result<GraphStats> ComputeGraphStats(const GraphSnapshot& snap);
 
 }  // namespace lipstick

@@ -128,11 +128,4 @@ std::string ProvExpressionString(const GraphSnapshot& snap, NodeId node,
   return ExprString(snap, node, max_depth);
 }
 
-std::string ProvExpressionString(const ProvenanceGraph& graph, NodeId node,
-                                 int max_depth) {
-  // Expression rendering follows parent edges only.
-  GraphSnapshot snap = GraphSnapshot::CaptureForParents(graph);
-  return ProvExpressionString(snap, node, max_depth);
-}
-
 }  // namespace lipstick

@@ -167,11 +167,8 @@ class GraphEvaluator {
  public:
   using V = typename S::ValueType;
 
-  /// Evaluation reads parent edges only, so the snapshot works unsealed.
-  explicit GraphEvaluator(const ProvenanceGraph& graph,
-                          std::unordered_map<NodeId, V> token_assignment = {})
-      : snap_(GraphSnapshot::CaptureForParents(graph)),
-        assignment_(std::move(token_assignment)) {}
+  /// Evaluation reads parent edges only, so a CaptureForParents snapshot
+  /// of an unsealed graph works too.
   explicit GraphEvaluator(const GraphSnapshot& snap,
                           std::unordered_map<NodeId, V> token_assignment = {})
       : snap_(snap), assignment_(std::move(token_assignment)) {}
@@ -230,8 +227,6 @@ class GraphEvaluator {
 /// Renders the provenance expression rooted at `node` as a string, e.g.
 /// "delta(x1 + x2) * m0". For human consumption and golden tests;
 /// `max_depth` truncates deep derivations with "...".
-std::string ProvExpressionString(const ProvenanceGraph& graph, NodeId node,
-                                 int max_depth = 32);
 std::string ProvExpressionString(const GraphSnapshot& snap, NodeId node,
                                  int max_depth = 32);
 

@@ -20,42 +20,18 @@ std::vector<NodeId> ReachFrom(const GraphSnapshot& snap, NodeId start,
   return ParallelReach(snap, seeds, dir, num_threads, visited);
 }
 
-std::unordered_set<NodeId> ToSet(const std::vector<NodeId>& ids) {
-  std::unordered_set<NodeId> set;
-  set.reserve(ids.size());
-  set.insert(ids.begin(), ids.end());
-  return set;
-}
-
 }  // namespace
 
-std::unordered_set<NodeId> Ancestors(const GraphSnapshot& snap, NodeId node) {
+std::vector<NodeId> Ancestors(const GraphSnapshot& snap, NodeId node) {
   VisitedLease visited = snap.AcquireVisited();
-  return ToSet(
-      ReachFrom(snap, node, TraverseDirection::kBackward, 1, *visited));
+  return ReachFrom(snap, node, TraverseDirection::kBackward, 1, *visited);
 }
 
-std::unordered_set<NodeId> Ancestors(const ProvenanceGraph& graph,
-                                     NodeId node) {
-  // Parent edges are always available, sealed or not.
-  GraphSnapshot snap = GraphSnapshot::CaptureForParents(graph);
-  return Ancestors(snap, node);
-}
-
-Result<std::unordered_set<NodeId>> Descendants(const GraphSnapshot& snap,
-                                               NodeId node) {
+Result<std::vector<NodeId>> Descendants(const GraphSnapshot& snap,
+                                        NodeId node) {
   LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap.graph(), "descendant queries"));
   VisitedLease visited = snap.AcquireVisited();
-  return ToSet(
-      ReachFrom(snap, node, TraverseDirection::kForward, 1, *visited));
-}
-
-Result<std::unordered_set<NodeId>> Descendants(const ProvenanceGraph& graph,
-                                               NodeId node) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(graph, "descendant queries"));
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) return snap.status();
-  return Descendants(*snap, node);
+  return ReachFrom(snap, node, TraverseDirection::kForward, 1, *visited);
 }
 
 Result<std::vector<NodeId>> SubgraphNodes(const GraphSnapshot& snap,
@@ -112,22 +88,6 @@ Result<std::vector<NodeId>> SubgraphNodes(const GraphSnapshot& snap,
   if (!in_result->TestAndSet(node)) result.push_back(node);
   span.Arg("result_nodes", static_cast<uint64_t>(result.size()));
   return result;
-}
-
-Result<std::unordered_set<NodeId>> SubgraphQuery(const GraphSnapshot& snap,
-                                                 NodeId node,
-                                                 int num_threads) {
-  Result<std::vector<NodeId>> nodes = SubgraphNodes(snap, node, num_threads);
-  if (!nodes.ok()) return nodes.status();
-  return ToSet(*nodes);
-}
-
-Result<std::unordered_set<NodeId>> SubgraphQuery(const ProvenanceGraph& graph,
-                                                 NodeId node) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(graph, "subgraph queries"));
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) return snap.status();
-  return SubgraphQuery(*snap, node, 1);
 }
 
 }  // namespace lipstick

@@ -1,24 +1,25 @@
 #include "provenance/view.h"
 
+#include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "provenance/subgraph.h"
+#include "provenance/traverse.h"
 #include "provenance/zoom.h"
 
 namespace lipstick {
 
 Result<GraphView> GraphView::MakeIdentity(const GraphSnapshot& snap) {
   LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap.graph(), "plan execution"));
-  GraphView view(snap, Mode::kHide);
+  GraphView view(snap);
   view.num_visible_underlying_ = snap.graph().num_alive();
   return view;
 }
 
 GraphView GraphView::Clone() const {
-  GraphView copy(*snap_, keep_mode_ ? Mode::kKeep : Mode::kHide);
+  GraphView copy(*snap_);
   copy.mask_->CopyFrom(*mask_);
   copy.num_visible_underlying_ = num_visible_underlying_;
   copy.synthetic_ = synthetic_;
@@ -26,24 +27,6 @@ GraphView GraphView::Clone() const {
   copy.num_syn_alive_ = num_syn_alive_;
   copy.overrides_ = overrides_;
   return copy;
-}
-
-Status GraphView::RequireHideMode(const char* op) const {
-  if (!keep_mode_) return Status::OK();
-  return Status::InvalidArgument(
-      std::string("view composition requires a hide-mode view: ") + op);
-}
-
-std::unordered_set<NodeId> GraphView::VisibleSet() const {
-  std::unordered_set<NodeId> set;
-  set.reserve(num_visible_underlying_);
-  for (uint32_t s = 0; s < snap_->num_shards(); ++s) {
-    for (uint64_t i = 0; i < snap_->ShardSize(s); ++i) {
-      NodeId id = MakeNodeId(s, i);
-      if (Visible(id)) set.insert(id);
-    }
-  }
-  return set;
 }
 
 GraphView::ChildOverlay GraphView::BuildChildOverlay() const {
@@ -70,7 +53,6 @@ GraphView::ChildOverlay GraphView::BuildChildOverlay() const {
 
 Status GraphView::ApplyZoomOut(const std::vector<std::string>& modules,
                                int num_threads) {
-  LIPSTICK_RETURN_IF_ERROR(RequireHideMode("ApplyZoomOut"));
   std::set<std::string> unique(modules.begin(), modules.end());
   // One shared mark set across modules makes earlier modules' removals
   // invisible to later planning passes, mirroring the eager path's
@@ -94,7 +76,6 @@ Status GraphView::ApplyZoomOut(const std::vector<std::string>& modules,
 
 Status GraphView::ApplySubgraph(const std::vector<NodeId>& roots, bool up,
                                 bool down) {
-  LIPSTICK_RETURN_IF_ERROR(RequireHideMode("ApplySubgraph"));
   std::unordered_set<NodeId> members;
   std::vector<NodeId> work;
   for (NodeId r : roots) {
@@ -103,15 +84,18 @@ Status GraphView::ApplySubgraph(const std::vector<NodeId>& roots, bool up,
   std::unordered_set<NodeId> seeds = members;
   if (up) {
     work.assign(seeds.begin(), seeds.end());
+    size_t reached = 0;
     while (!work.empty()) {
       NodeId id = work.back();
       work.pop_back();
       for (NodeId p : ParentsOf(id)) {
         if (VisibleOrSynthetic(p) && members.insert(p).second) {
           work.push_back(p);
+          ++reached;
         }
       }
     }
+    internal::RecordTraversal(TraverseDirection::kBackward, reached, 1);
   }
   if (down) {
     ChildOverlay overlay = BuildChildOverlay();
@@ -128,6 +112,8 @@ Status GraphView::ApplySubgraph(const std::vector<NodeId>& roots, bool up,
         }
       });
     }
+    internal::RecordTraversal(TraverseDirection::kForward, down_set.size(),
+                              1);
     for (NodeId d : down_set) {
       members.insert(d);
       if (up) {
@@ -163,7 +149,6 @@ Status GraphView::ApplySubgraph(const std::vector<NodeId>& roots, bool up,
 }
 
 Status GraphView::ApplyRestrict(const FactPredicate& pred) {
-  LIPSTICK_RETURN_IF_ERROR(RequireHideMode("ApplyRestrict"));
   size_t kept = 0;
   for (uint32_t s = 0; s < snap_->num_shards(); ++s) {
     for (uint64_t i = 0; i < snap_->ShardSize(s); ++i) {
@@ -189,20 +174,30 @@ Status GraphView::ApplyRestrict(const FactPredicate& pred) {
   return Status::OK();
 }
 
-Status GraphView::ApplyDeleteProp(const std::vector<NodeId>& seeds,
-                                  size_t* removed) {
-  LIPSTICK_RETURN_IF_ERROR(RequireHideMode("ApplyDeleteProp"));
+std::vector<NodeId> GraphView::DeletionOrder(
+    const std::vector<NodeId>& seeds) const {
+  // ComputeDeletionSet (provenance/deletion.cc) re-read through the view:
+  // Contains -> VisibleOrSynthetic, CSR children -> ForEachChild. Deleted
+  // underlying nodes mark a leased bitmap; synthetic ids lie past the
+  // snapshot's range and get a side column.
   ChildOverlay overlay = BuildChildOverlay();
-  // Mirror of ComputeDeletionSet (provenance/deletion.cc) over the view's
-  // adjacency: a node dies when it is joint (· / ⊗) and loses any edge, or
-  // when it loses all of its visible in-edges.
-  std::unordered_set<NodeId> deleted;
+  VisitedLease deleted = snap_->AcquireVisited();
+  std::vector<uint8_t> syn_deleted(synthetic_.size(), 0);
+  auto is_deleted = [&](NodeId id) {
+    return IsSynthetic(id) ? syn_deleted[SyntheticIndex(id)] != 0
+                           : deleted->Test(id);
+  };
+  // Marks `id` deleted; true if it was not already.
+  auto mark = [&](NodeId id) {
+    if (IsSynthetic(id)) {
+      return std::exchange(syn_deleted[SyntheticIndex(id)], 1) == 0;
+    }
+    return !deleted->TestAndSet(id);
+  };
   std::vector<NodeId> order;
   std::unordered_map<NodeId, size_t> lost_edges;
   for (NodeId s : seeds) {
-    if (VisibleOrSynthetic(s) && deleted.insert(s).second) {
-      order.push_back(s);
-    }
+    if (VisibleOrSynthetic(s) && mark(s)) order.push_back(s);
   }
   auto alive_parent_count = [this](NodeId id) {
     size_t n = 0;
@@ -213,17 +208,24 @@ Status GraphView::ApplyDeleteProp(const std::vector<NodeId>& seeds,
   while (head < order.size()) {
     NodeId dead = order[head++];
     ForEachChild(dead, overlay, [&](NodeId child) {
-      if (deleted.count(child)) return;
+      if (is_deleted(child)) return;
       size_t lost = ++lost_edges[child];
       NodeLabel cl = IsSynthetic(child) ? NodeLabel::kZoomedModule
                                         : snap_->node(child).label();
       bool joint = cl == NodeLabel::kTimes || cl == NodeLabel::kTensor;
       if (joint || lost >= alive_parent_count(child)) {
-        deleted.insert(child);
+        mark(child);
         order.push_back(child);
       }
     });
   }
+  internal::RecordTraversal(TraverseDirection::kForward, order.size(), 1);
+  return order;
+}
+
+Status GraphView::ApplyDeleteProp(const std::vector<NodeId>& seeds,
+                                  size_t* removed) {
+  std::vector<NodeId> order = DeletionOrder(seeds);
   for (NodeId id : order) {
     if (IsSynthetic(id)) {
       size_t k = SyntheticIndex(id);
@@ -301,38 +303,6 @@ Result<ProvenanceGraph> GraphView::Materialize() const {
   out.Seal();
   span.Arg("nodes", static_cast<uint64_t>(out.num_nodes()));
   return out;
-}
-
-Result<GraphView> ZoomOutView(const GraphSnapshot& snap,
-                              const std::set<std::string>& module_names,
-                              int num_threads) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap.graph(), "ZoomOutView"));
-  obs::ObsSpan span("query", "zoomout_view");
-  static const obs::MetricId kZoomViewUs =
-      obs::MetricsRegistry::Global().RegisterHistogram(
-          "query.zoomout_view_us");
-  obs::ScopedHistTimer obs_timer(kZoomViewUs);
-  span.Arg("modules", static_cast<uint64_t>(module_names.size()));
-  span.Arg("threads", static_cast<uint64_t>(num_threads < 1 ? 1
-                                                            : num_threads));
-
-  GraphView view(snap, GraphView::Mode::kHide);
-  view.num_visible_underlying_ = snap.graph().num_alive();
-  std::vector<std::string> modules(module_names.begin(), module_names.end());
-  LIPSTICK_RETURN_IF_ERROR(view.ApplyZoomOut(modules, num_threads));
-  return view;
-}
-
-Result<GraphView> SubgraphView(const GraphSnapshot& snap, NodeId node,
-                               int num_threads) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap.graph(), "subgraph queries"));
-  GraphView view(snap, GraphView::Mode::kKeep);
-  Result<std::vector<NodeId>> members =
-      SubgraphNodes(snap, node, num_threads);
-  if (!members.ok()) return members.status();
-  for (NodeId id : *members) view.mask_->Set(id);
-  view.num_visible_underlying_ = members->size();
-  return view;
 }
 
 }  // namespace lipstick

@@ -4,11 +4,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -70,7 +68,7 @@ class GraphView {
   /// are out of the snapshot's range and always report false here; they are
   /// enumerated separately via synthetic_nodes().
   bool Visible(NodeId id) const {
-    return snap_->Contains(id) && mask_->Test(id) == keep_mode_;
+    return snap_->Contains(id) && !mask_->Test(id);
   }
 
   /// Visibility across both node populations: underlying nodes by mask,
@@ -120,10 +118,6 @@ class GraphView {
     return overrides_;
   }
 
-  /// Visible underlying nodes as a set (synthetics excluded) — the shape
-  /// the eager set-returning queries expose.
-  std::unordered_set<NodeId> VisibleSet() const;
-
   /// Every visible node in materialization order: shard 0's originals,
   /// then the alive synthetic zoom nodes, then the remaining shards. `fn`
   /// is called as fn(NodeId, const SyntheticNode*) with null for underlying
@@ -171,10 +165,18 @@ class GraphView {
     }
   }
 
+  /// Deletion propagation (Definition 4.2) from `seeds` over the view's
+  /// adjacency, without changing the view: a node dies when it is joint
+  /// (· / ⊗) and loses any in-edge, or when it loses all of its visible
+  /// in-edges. Returns the deleted nodes (visible seeds first) in
+  /// propagation order — the walk behind ApplyDeleteProp and the view
+  /// form of the dependency query.
+  std::vector<NodeId> DeletionOrder(const std::vector<NodeId>& seeds) const;
+
   /// ------------------------------------------------------------------
-  /// Composition stages. Hide-mode views only (MakeIdentity / ZoomOutView
-  /// produce those); each stage narrows visibility in place. Equivalent to
-  /// materializing first and running the eager operator on the result.
+  /// Composition stages. Each narrows visibility in place, starting from
+  /// MakeIdentity(). Equivalent to materializing first and running the
+  /// eager operator on the result.
   /// ------------------------------------------------------------------
 
   /// Collapses every named module (Definition 4.1) over the current
@@ -194,9 +196,9 @@ class GraphView {
   /// `pred`.
   Status ApplyRestrict(const FactPredicate& pred);
 
-  /// Deletion propagation (Definition 4.2) from `seeds` over the view's
-  /// adjacency; the deleted set becomes hidden. `*removed` receives the
-  /// deleted-node count (seeds included).
+  /// Deletion propagation (DeletionOrder) from `seeds`; the deleted set
+  /// becomes hidden. `*removed` receives the deleted-node count (seeds
+  /// included).
   Status ApplyDeleteProp(const std::vector<NodeId>& seeds, size_t* removed);
 
   /// Builds a standalone graph equal to what the eager operator would have
@@ -205,15 +207,8 @@ class GraphView {
   Result<ProvenanceGraph> Materialize() const;
 
  private:
-  friend Result<GraphView> ZoomOutView(const GraphSnapshot&,
-                                       const std::set<std::string>&, int);
-  friend Result<GraphView> SubgraphView(const GraphSnapshot&, NodeId, int);
-
-  enum class Mode { kKeep, kHide };
-
-  GraphView(const GraphSnapshot& snap, Mode mode)
+  explicit GraphView(const GraphSnapshot& snap)
       : snap_(&snap),
-        keep_mode_(mode == Mode::kKeep),
         mask_(snap.AcquireVisited()),
         base0_(snap.ShardSize(0)) {}
 
@@ -223,13 +218,10 @@ class GraphView {
     syn_alive_.push_back(1);
     ++num_syn_alive_;
   }
-  Status RequireHideMode(const char* op) const;
 
   const GraphSnapshot* snap_;
-  // The mask is a leased bitmap: marked = kept (subgraph) or marked =
-  // hidden (zoom / composed plans), so neither operator pays a full-graph
-  // scan to build it.
-  bool keep_mode_;
+  // The mask is a leased bitmap of hidden nodes, so a view costs no
+  // full-graph scan to build.
   VisitedLease mask_;
   size_t num_visible_underlying_ = 0;
   uint64_t base0_;  // shard 0 size; synthetic ids start here
@@ -238,24 +230,6 @@ class GraphView {
   size_t num_syn_alive_ = 0;
   std::unordered_map<NodeId, std::array<NodeId, 2>> overrides_;
 };
-
-/// Lazy ZoomOut (Section 4.1) over a snapshot: plans the collapse of every
-/// named module (via the same planner as the eager Zoomer) and returns a
-/// view hiding the removed nodes, with one synthetic p-node per invocation
-/// and module outputs rewired through it. The snapshot is not modified;
-/// dropping the view is the (trivial) ZoomIn. Planning scans fan out over
-/// `num_threads` workers. Fails with kNotFound if a module has no live
-/// invocations.
-Result<GraphView> ZoomOutView(const GraphSnapshot& snap,
-                              const std::set<std::string>& module_names,
-                              int num_threads = 1);
-
-/// Lazy subgraph query (Section 5.1) over a snapshot: the view keeps the
-/// node, its ancestors, descendants, and co-parents of descendants.
-/// Materializing kills every other node, like restricting the eager graph
-/// to the query result. Traversals parallelize over `num_threads`.
-Result<GraphView> SubgraphView(const GraphSnapshot& snap, NodeId node,
-                               int num_threads = 1);
 
 }  // namespace lipstick
 

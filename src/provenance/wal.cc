@@ -265,6 +265,9 @@ bool SegmentScanner::Next(Record* out) {
 
 namespace {
 
+using walfmt::PutU32;
+using walfmt::PutU64;
+using walfmt::PutU8;
 using walfmt::RecordType;
 
 struct WalMetrics {
@@ -302,21 +305,6 @@ std::string& Scratch() {
   thread_local std::string s;
   s.clear();
   return s;
-}
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-               static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-  out->append(b, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
 }
 
 Status WriteFully(int fd, const char* data, size_t n) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <unordered_set>
 #include <utility>
 
 #include "common/str_util.h"
@@ -11,7 +12,7 @@
 
 namespace lipstick {
 
-Result<std::unordered_set<NodeId>> IntermediateNodesByDefinition(
+Result<std::vector<NodeId>> IntermediateNodesByDefinition(
     const GraphSnapshot& snap, const std::string& module_name) {
   LIPSTICK_RETURN_IF_ERROR(
       RequireSealed(snap.graph(), "IntermediateNodesByDefinition"));
@@ -29,7 +30,8 @@ Result<std::unordered_set<NodeId>> IntermediateNodesByDefinition(
       if (snap.Contains(n)) seeds.push_back(n);
     }
   }
-  std::unordered_set<NodeId> result;
+  std::vector<NodeId> result;
+  VisitedLease in_result = snap.AcquireVisited();
   VisitedLease visited = snap.AcquireVisited();
   // Input/state seeds themselves are not intermediate nodes: pre-mark them
   // so the traversal never reports them.
@@ -39,7 +41,8 @@ Result<std::unordered_set<NodeId>> IntermediateNodesByDefinition(
              if (snap.node(n).role() == NodeRole::kModuleOutput) {
                return Visit::kSkip;
              }
-             result.insert(n);
+             in_result->Set(n);
+             result.push_back(n);
              return Visit::kExpand;
            });
   // Closure for condition (iii): parentless value nodes (the constants
@@ -49,34 +52,25 @@ Result<std::unordered_set<NodeId>> IntermediateNodesByDefinition(
   while (changed) {
     changed = false;
     snap.ForEachAliveNode([&](NodeId id) {
-      if (result.count(id)) return;
+      if (in_result->Test(id)) return;
       if (snap.node(id).label() != NodeLabel::kConstValue) return;
       std::span<const NodeId> children = snap.ChildrenOf(id);
       if (children.empty()) return;
       bool all_intermediate = true;
       for (NodeId c : children) {
-        if (snap.Contains(c) && !result.count(c)) {
+        if (snap.Contains(c) && !in_result->Test(c)) {
           all_intermediate = false;
           break;
         }
       }
       if (all_intermediate) {
-        result.insert(id);
+        in_result->Set(id);
+        result.push_back(id);
         changed = true;
       }
     });
   }
   return result;
-}
-
-Result<std::unordered_set<NodeId>> IntermediateNodesByDefinition(
-    const ProvenanceGraph& graph, const std::string& module_name) {
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) {
-    return Status::InvalidArgument(
-        "IntermediateNodesByDefinition requires a sealed graph");
-  }
-  return IntermediateNodesByDefinition(*snap, module_name);
 }
 
 namespace internal {

@@ -11,12 +11,10 @@
 namespace lipstick::service {
 
 /// Thread-safe LRU cache of rendered query responses, keyed by
-/// (graph name, graph epoch, op, args). Including the epoch in the key
-/// means a `reload` invalidates implicitly: stale entries simply stop
+/// (graph name, graph epoch, canonical plan). Including the epoch in the
+/// key means a `reload` invalidates implicitly: stale entries simply stop
 /// being hit and age out of the LRU tail — no flush, no epoch fences.
-///
-/// Only the traversal-heavy view ops (subgraph, zoomout — see
-/// IsCacheableOp) are worth an entry; the server decides what to put in.
+/// The server decides what to put in (every successful read query).
 class ResponseCache {
  public:
   /// `capacity` = max entries; 0 disables the cache entirely.

@@ -31,7 +31,8 @@ std::string CardString(const analysis::CardInterval& rows) {
 /// predicted cardinalities and byte footprints per operator.
 std::string RenderExplainText(const ParsedQuery& parsed,
                               const analysis::PlanCostReport& cost) {
-  std::string out = StrCat("plan: ", parsed.canonical, "\n");
+  std::string out =
+      StrCat("plan: ", parsed.optimized.plan.Canonical(), "\n");
   out += StrCat("bytes/node: ", FormatDouble(cost.bytes_per_node), "\n");
   out += "rewrites:\n";
   if (parsed.optimized.rewrites.empty()) {
@@ -69,7 +70,8 @@ std::string JsonEscape(const std::string& s) {
 std::string RenderExplainJson(const ParsedQuery& parsed,
                               const analysis::PlanCostReport& cost) {
   std::string out =
-      StrCat("{\"plan\":\"", JsonEscape(parsed.canonical), "\",");
+      StrCat("{\"plan\":\"", JsonEscape(parsed.optimized.plan.Canonical()),
+             "\",");
   out += StrCat("\"bytes_per_node\":", FormatDouble(cost.bytes_per_node),
                 ",\"rewrites\":[");
   for (size_t i = 0; i < parsed.optimized.rewrites.size(); ++i) {
@@ -107,11 +109,6 @@ bool IsReadQueryOp(const std::string& op) {
   // `delete` is read-only as a pipeline view stage; the bare op is the
   // CLI's mutating subcommand.
   return head == "delete" && op.find('|') != std::string::npos;
-}
-
-bool IsCacheableOp(const std::string& op) {
-  std::string head = HeadOf(op);
-  return head == "subgraph" || head == "zoomout";
 }
 
 Result<NodeId> ParseNodeId(const std::string& s) { return ParsePlanNodeId(s); }

@@ -15,6 +15,7 @@ namespace {
 
 using ::lipstick::testing::I;
 using ::lipstick::testing::MakeSchema;
+using ::lipstick::testing::Snap;
 using ::lipstick::testing::T;
 
 SchemaPtr NumSchema() { return MakeSchema({{"x", FieldType::Int()}}); }
@@ -240,7 +241,7 @@ TEST_F(FaultTest, RetryUntilSuccessDiscardsFailedProvenance) {
   EXPECT_EQ(graph.invocations().size(), 5u);  // 3 live + 2 aborted
   EXPECT_EQ(graph.num_live_invocations(), 3u);
   graph.Seal();
-  GraphStats stats = *ComputeGraphStats(graph);
+  GraphStats stats = *ComputeGraphStats(Snap(graph));
   EXPECT_EQ(stats.invocations, 3u);
   for (NodeId id : graph.AllNodeIds()) {
     if (!graph.Contains(id)) continue;
@@ -423,7 +424,7 @@ TEST_F(FaultTest, FailFastRollsBackStateAndProvenance) {
   EXPECT_EQ(ok->at("end").at("Out").bag.ToString(), "{(42)}");
   EXPECT_EQ(exec.executions_run(), 2u);
   graph.Seal();
-  GraphStats stats = *ComputeGraphStats(graph);
+  GraphStats stats = *ComputeGraphStats(Snap(graph));
   EXPECT_EQ(stats.invocations, 6u);  // 3 nodes x 2 committed executions
 }
 
@@ -434,12 +435,12 @@ TEST_F(FaultTest, UnsealedGraphQueriesReturnStatusNotUB) {
   auto w = g.writer();
   NodeId x = w.Token("x");
   // No Seal(): every children-dependent query reports kInvalidArgument.
-  EXPECT_EQ(ComputeGraphStats(g).status().code(),
+  EXPECT_EQ(ComputeGraphStats(Snap(g)).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(PathExists(g, x, x).status().code(),
+  EXPECT_EQ(PathExists(Snap(g), x, x).status().code(),
             StatusCode::kInvalidArgument);
   g.Seal();
-  LIPSTICK_EXPECT_OK(ComputeGraphStats(g).status());
+  LIPSTICK_EXPECT_OK(ComputeGraphStats(Snap(g)).status());
 }
 
 using FaultDeathTest = FaultTest;

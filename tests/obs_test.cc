@@ -8,13 +8,20 @@
 #include <thread>
 #include <vector>
 
+#include "common/str_util.h"
 #include "common/timer.h"
 #include "obs/json.h"
 #include "obs/trace.h"
+#include "provenance/exec.h"
+#include "provenance/optimizer.h"
+#include "provenance/plan.h"
+#include "provenance/query.h"
+#include "provenance/snapshot.h"
 #include "test_util.h"
 #include "workflow/executor.h"
 #include "workflow/module.h"
 #include "workflow/workflow.h"
+#include "workflowgen/dealership.h"
 
 namespace lipstick {
 namespace {
@@ -409,6 +416,49 @@ TEST_F(ObsTest, DisarmedExecutionRecordsNothingAndStaysCheap) {
   // well under a second — this guards against a hook accidentally doing
   // real work (allocation, locking, I/O) when disarmed.
   EXPECT_LT(disarmed_seconds, 1.0);
+}
+
+TEST_F(ObsTest, PlanEngineWalksReportTraversals) {
+  // query.traverse_visited counts the walks of the plan engine too: the
+  // composed subgraph stage, the view deletion walk and the snapshot
+  // dependency query each report what they visited.
+  workflowgen::DealershipConfig cfg;
+  cfg.num_cars = 120;
+  cfg.num_executions = 2;
+  cfg.seed = 5;
+  auto wf = workflowgen::DealershipWorkflow::Create(cfg);
+  LIPSTICK_ASSERT_OK(wf.status());
+  ProvenanceGraph graph;
+  LIPSTICK_ASSERT_OK((*wf)->Run(&graph).status());
+  graph.Seal();
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
+  LIPSTICK_ASSERT_OK(snap.status());
+  std::vector<NodeId> inputs =
+      FindNodes(*snap, ByRole(NodeRole::kWorkflowInput));
+  std::vector<NodeId> outputs =
+      FindNodes(*snap, ByRole(NodeRole::kModuleOutput));
+  ASSERT_FALSE(inputs.empty());
+  ASSERT_FALSE(outputs.empty());
+  NodeId input = inputs.front();
+
+  auto& m = obs::MetricsRegistry::Global();
+  for (const std::string& query :
+       {StrCat("zoomout dealer | subgraph ", input),
+        StrCat("depends ", outputs.back(), " ", input),
+        StrCat("zoomout dealer | delete ", input)}) {
+    Result<Plan> plan = ParsePlan(query, {});
+    LIPSTICK_ASSERT_OK(plan.status());
+    m.ResetValues();
+    m.Enable();
+    Result<std::string> out = ExecutePlan(*snap, OptimizePlan(*plan));
+    m.Disable();
+    LIPSTICK_ASSERT_OK(out.status());
+    uint64_t visited = 0;
+    for (const auto& [name, v] : m.Snap().counters) {
+      if (name == "query.traverse_visited") visited = v;
+    }
+    EXPECT_GT(visited, 0u) << query;
+  }
 }
 
 }  // namespace

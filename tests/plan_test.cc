@@ -170,11 +170,11 @@ class PlanEquivalenceTest : public ::testing::Test {
     auto snap = GraphSnapshot::Capture(*graph_);
     ASSERT_TRUE(snap.ok()) << snap.status().ToString();
     snap_ = new GraphSnapshot(std::move(*snap));
-    auto tokens = FindNodes(*graph_, ByLabel(NodeLabel::kToken));
+    auto tokens = FindNodes(*snap_, ByLabel(NodeLabel::kToken));
     ASSERT_FALSE(tokens.empty());
     token_ = tokens.front();
-    auto outs = FindNodes(*graph_, And(ByRole(NodeRole::kModuleOutput),
-                                       ByModule(*graph_, "aggregate")));
+    auto outs = FindNodes(*snap_, And(ByRole(NodeRole::kModuleOutput),
+                                      ByModule(*snap_, "aggregate")));
     ASSERT_FALSE(outs.empty());
     agg_out_ = outs.front();
   }
@@ -322,7 +322,7 @@ TEST_F(PlanEquivalenceTest, DotAndProvioExportsMatchNaiveMaterialization) {
   // stage-by-stage materialized graph.
   std::ostringstream fused_dot, naive_dot;
   LIPSTICK_ASSERT_OK(WriteDot(*view, fused_dot));
-  LIPSTICK_ASSERT_OK(WriteDot(*naive_final, naive_dot));
+  LIPSTICK_ASSERT_OK(WriteDot(testing::Snap(*naive_final), naive_dot));
   EXPECT_EQ(fused_dot.str(), naive_dot.str());
 
   // Provio: materializing the composed view == the naive chain.

@@ -18,6 +18,10 @@
 namespace lipstick {
 namespace {
 
+using testing::Snap;
+using testing::Has;
+using testing::IdSet;
+
 using ::lipstick::testing::I;
 using ::lipstick::testing::MakeRelation;
 using ::lipstick::testing::MakeSchema;
@@ -264,11 +268,11 @@ TEST(DeletionTest, PaperExample43DeletingOneCarKeepsBid) {
   LIPSTICK_ASSERT_OK(f.Build());
   // Example 4.3/4.5: the bid still exists if car C2 is removed — the COUNT
   // loses an input but the derivation survives.
-  auto deleted = *ComputeDeletionSet(f.graph, {f.car_c2});
-  EXPECT_FALSE(deleted.count(f.bid_node));
-  EXPECT_TRUE(deleted.count(f.car_c2));
-  EXPECT_FALSE(deleted.count(f.car_c3));
-  EXPECT_FALSE(*DependsOn(f.graph, f.bid_node, f.car_c2));
+  auto deleted = *ComputeDeletionSet(Snap(f.graph), {f.car_c2});
+  EXPECT_FALSE(Has(deleted, f.bid_node));
+  EXPECT_TRUE(Has(deleted, f.car_c2));
+  EXPECT_FALSE(Has(deleted, f.car_c3));
+  EXPECT_FALSE(*DependsOn(Snap(f.graph), f.bid_node, f.car_c2));
 }
 
 TEST(DeletionTest, PaperExample44DeletingRequestKillsEverything) {
@@ -276,30 +280,30 @@ TEST(DeletionTest, PaperExample44DeletingRequestKillsEverything) {
   LIPSTICK_ASSERT_OK(f.Build());
   // Example 4.4: deleting the bid request erases the whole derivation
   // except nodes standing for state tuples (the cars).
-  auto deleted = *ComputeDeletionSet(f.graph, {f.request});
-  EXPECT_TRUE(deleted.count(f.bid_node));
-  EXPECT_FALSE(deleted.count(f.car_c1));
-  EXPECT_FALSE(deleted.count(f.car_c2));
-  EXPECT_TRUE(*DependsOn(f.graph, f.bid_node, f.request));
+  auto deleted = *ComputeDeletionSet(Snap(f.graph), {f.request});
+  EXPECT_TRUE(Has(deleted, f.bid_node));
+  EXPECT_FALSE(Has(deleted, f.car_c1));
+  EXPECT_FALSE(Has(deleted, f.car_c2));
+  EXPECT_TRUE(*DependsOn(Snap(f.graph), f.bid_node, f.request));
 }
 
 TEST(DeletionTest, DeletingBothCivicsKillsCountButNotBlackBox) {
   DealerFixture f;
   LIPSTICK_ASSERT_OK(f.Build());
-  auto deleted = *ComputeDeletionSet(f.graph, {f.car_c2, f.car_c3});
+  auto deleted = *ComputeDeletionSet(Snap(f.graph), {f.car_c2, f.car_c3});
   // The whole inventory derivation for the model is gone...
   size_t dead_aggs = 0;
   for (NodeId id : f.graph.AllNodeIds()) {
     if (f.graph.Contains(id) &&
         f.graph.node(id).label() == NodeLabel::kAggregate &&
-        deleted.count(id)) {
+        Has(deleted, id)) {
       ++dead_aggs;
     }
   }
   EXPECT_GE(dead_aggs, 1u) << "the COUNT over the inventory must die";
   // ...but per Definition 4.2 a black box survives while any of its inputs
   // (here: the request) remains, so the bid tuple itself survives.
-  EXPECT_FALSE(deleted.count(f.bid_node));
+  EXPECT_FALSE(Has(deleted, f.bid_node));
 }
 
 TEST(DeletionTest, MaterializationRemovesNodes) {
@@ -321,11 +325,11 @@ TEST(DeletionTest, AgreesWithCountingSemiringZeroing) {
   LIPSTICK_ASSERT_OK(f.Build());
   std::vector<NodeId> tokens{f.request, f.car_c1, f.car_c2, f.car_c3};
   for (NodeId t : tokens) {
-    auto deleted = *ComputeDeletionSet(f.graph, {t});
-    GraphEvaluator<CountingSemiring> eval(f.graph, {{t, 0}});
+    auto deleted = *ComputeDeletionSet(Snap(f.graph), {t});
+    GraphEvaluator<CountingSemiring> eval(Snap(f.graph), {{t, 0}});
     for (NodeId n : f.graph.AllNodeIds()) {
       if (!f.graph.Contains(n)) continue;
-      bool in_set = deleted.count(n) > 0;
+      bool in_set = Has(deleted, n);
       bool eval_zero = eval.Eval(n) == 0;
       EXPECT_EQ(in_set, eval_zero)
           << "node " << n << " ("
@@ -338,8 +342,8 @@ TEST(DeletionTest, AgreesWithCountingSemiringZeroing) {
 TEST(DeletionTest, SeedMustExist) {
   DealerFixture f;
   LIPSTICK_ASSERT_OK(f.Build());
-  EXPECT_TRUE(ComputeDeletionSet(f.graph, {kInvalidNode})->empty());
-  EXPECT_FALSE(*DependsOn(f.graph, f.bid_node, kInvalidNode));
+  EXPECT_TRUE(ComputeDeletionSet(Snap(f.graph), {kInvalidNode})->empty());
+  EXPECT_FALSE(*DependsOn(Snap(f.graph), f.bid_node, kInvalidNode));
 }
 
 /// --------------------------- subgraph ----------------------------------
@@ -353,11 +357,11 @@ TEST(SubgraphTest, AncestorsAndDescendants) {
   NodeId q = w.Plus({p});
   NodeId other = w.Token("z");
   g.Seal();
-  auto anc = Ancestors(g, q);
-  EXPECT_EQ(anc, (std::unordered_set<NodeId>{p, x, y}));
-  auto desc = *Descendants(g, x);
-  EXPECT_EQ(desc, (std::unordered_set<NodeId>{p, q}));
-  EXPECT_TRUE(Descendants(g, other)->empty());
+  auto anc = Ancestors(Snap(g), q);
+  EXPECT_EQ(IdSet(anc), (std::set<NodeId>{p, x, y}));
+  auto desc = *Descendants(Snap(g), x);
+  EXPECT_EQ(IdSet(desc), (std::set<NodeId>{p, q}));
+  EXPECT_TRUE(Descendants(Snap(g), other)->empty());
 }
 
 TEST(SubgraphTest, IncludesSiblingsOfDescendants) {
@@ -367,23 +371,23 @@ TEST(SubgraphTest, IncludesSiblingsOfDescendants) {
   NodeId y = w.Token("y");  // sibling: co-parent of the join below
   NodeId join = w.Times({x, y});
   g.Seal();
-  auto sub = *SubgraphQuery(g, x);
+  auto sub = *SubgraphNodes(Snap(g), x);
   // y is not an ancestor or descendant of x, but it is needed to re-derive
   // the join, so the subgraph query includes it.
-  EXPECT_TRUE(sub.count(y));
-  EXPECT_TRUE(sub.count(join));
-  EXPECT_TRUE(sub.count(x));
+  EXPECT_TRUE(Has(sub, y));
+  EXPECT_TRUE(Has(sub, join));
+  EXPECT_TRUE(Has(sub, x));
 }
 
 TEST(SubgraphTest, DealerBidSubgraphCoversDerivation) {
   DealerFixture f;
   LIPSTICK_ASSERT_OK(f.Build());
-  auto sub = *SubgraphQuery(f.graph, f.request);
-  EXPECT_TRUE(sub.count(f.bid_node));
+  auto sub = *SubgraphNodes(Snap(f.graph), f.request);
+  EXPECT_TRUE(Has(sub, f.bid_node));
   // The Accord car C1 joins nothing, so it stays out of the subgraph.
-  EXPECT_FALSE(sub.count(f.car_c1));
-  EXPECT_TRUE(sub.count(f.car_c2));  // sibling through the join/group
-  EXPECT_TRUE(SubgraphQuery(f.graph, kInvalidNode)->empty());
+  EXPECT_FALSE(Has(sub, f.car_c1));
+  EXPECT_TRUE(Has(sub, f.car_c2));  // sibling through the join/group
+  EXPECT_TRUE(SubgraphNodes(Snap(f.graph), kInvalidNode)->empty());
 }
 
 /// ----------------------------- zoom ------------------------------------
@@ -504,7 +508,8 @@ TEST_F(ZoomTest, TagBasedIntermediatesMatchDefinition41) {
   // nodes that avoid output nodes. The executor instead tags nodes with
   // their invocation. The path-based set must be covered by the tag-based
   // removal set (which additionally removes state wrappers and bases).
-  auto by_definition = *IntermediateNodesByDefinition(graph_, "dealer");
+  std::vector<NodeId> by_definition =
+      *IntermediateNodesByDefinition(Snap(graph_), "dealer");
   std::unordered_set<NodeId> by_tags;
   std::unordered_set<uint32_t> dealer_invs;
   for (uint32_t i = 0; i < graph_.invocations().size(); ++i) {
@@ -533,7 +538,7 @@ TEST_F(ZoomTest, TagBasedIntermediatesMatchDefinition41) {
   // per Definition 4.1.
   for (NodeId id : by_tags) {
     if (graph_.node(id).role() != NodeRole::kIntermediate) continue;
-    EXPECT_TRUE(by_definition.count(id))
+    EXPECT_TRUE(Has(by_definition, id))
         << "tagged intermediate " << id << " not identified by "
         << "Definition 4.1";
   }

@@ -13,9 +13,12 @@
 #include <vector>
 
 #include "provenance/deletion.h"
+#include "common/str_util.h"
 #include "provenance/dot.h"
+#include "provenance/exec.h"
 #include "provenance/graph.h"
 #include "provenance/provio.h"
+#include "provenance/plan.h"
 #include "provenance/query.h"
 #include "provenance/snapshot.h"
 #include "provenance/subgraph.h"
@@ -43,6 +46,24 @@ ProvenanceGraph CloneSealed(const ProvenanceGraph& graph) {
   EXPECT_TRUE(copy.ok()) << copy.status().ToString();
   copy->Seal();
   return std::move(*copy);
+}
+
+/// Lazy ZoomOut over a snapshot: the identity view with one zoom stage.
+Result<GraphView> ZoomView(const GraphSnapshot& snap,
+                           const std::vector<std::string>& modules,
+                           int threads) {
+  LIPSTICK_ASSIGN_OR_RETURN(GraphView view, GraphView::MakeIdentity(snap));
+  LIPSTICK_RETURN_IF_ERROR(view.ApplyZoomOut(modules, threads));
+  return view;
+}
+
+/// The underlying nodes a view keeps visible (synthetics excluded).
+std::set<NodeId> VisibleIds(const GraphView& view) {
+  std::set<NodeId> ids;
+  view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode* syn) {
+    if (syn == nullptr) ids.insert(id);
+  });
+  return ids;
 }
 
 ProvenanceGraph BuildDealershipGraph() {
@@ -165,29 +186,35 @@ TEST(TraverseTest, ParallelForCoversRangeOnce) {
   }
 }
 
-TEST(TraverseTest, SnapshotQueriesMatchGraphQueries) {
+TEST(TraverseTest, SnapshotQueriesAgreeWithEachOther) {
   ProvenanceGraph g = BuildDealershipGraph();
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
   LIPSTICK_ASSERT_OK(snap.status());
-  GraphStats gs = *ComputeGraphStats(g);
   GraphStats ss = *ComputeGraphStats(*snap);
-  EXPECT_EQ(gs.nodes, ss.nodes);
-  EXPECT_EQ(gs.edges, ss.edges);
-  EXPECT_EQ(gs.depth, ss.depth);
-  EXPECT_EQ(gs.max_fan_in, ss.max_fan_in);
-  EXPECT_EQ(gs.max_fan_out, ss.max_fan_out);
-  std::vector<NodeId> tokens = FindNodes(g, ByLabel(NodeLabel::kToken));
-  EXPECT_EQ(tokens, FindNodes(*snap, ByLabel(NodeLabel::kToken), 1));
+  EXPECT_EQ(ss.nodes, g.num_alive());
+  EXPECT_EQ(ss.edges, g.num_edges());
+  std::vector<NodeId> tokens = FindNodes(*snap, ByLabel(NodeLabel::kToken), 1);
   // Parallel find returns the same ids in the same (scan) order.
   EXPECT_EQ(tokens, FindNodes(*snap, ByLabel(NodeLabel::kToken), 4));
   ASSERT_GE(tokens.size(), 2u);
+  // The ancestors of a node are exactly the nodes with a path to it.
+  std::vector<NodeId> outputs =
+      FindNodes(*snap, ByRole(NodeRole::kModuleOutput));
+  ASSERT_FALSE(outputs.empty());
+  NodeId out = outputs.back();
+  std::set<NodeId> ancestors = testing::IdSet(Ancestors(*snap, out));
+  EXPECT_FALSE(ancestors.empty());
   for (NodeId t : tokens) {
-    EXPECT_EQ(Ancestors(g, t), Ancestors(*snap, t));
+    EXPECT_EQ(ancestors.count(t) > 0, *PathExists(*snap, t, out)) << t;
   }
-  // Joint set-dependency agrees between the graph and snapshot forms.
+  // The bitmap-tested dependency queries agree with the deletion set they
+  // are defined by.
   std::vector<NodeId> pair = {tokens.front(), tokens.back()};
+  std::vector<NodeId> deleted = *ComputeDeletionSet(*snap, pair);
   for (NodeId t : tokens) {
-    EXPECT_EQ(*DependsOnSet(g, t, pair), *DependsOnSet(*snap, t, pair));
+    EXPECT_EQ(*DependsOnSet(*snap, t, pair), testing::Has(deleted, t));
+    EXPECT_EQ(*DependsOnSet(*snap, t, {pair[0]}),
+              *DependsOn(*snap, t, pair[0]));
   }
 }
 
@@ -195,7 +222,7 @@ TEST(TraverseTest, SnapshotQueriesMatchGraphQueries) {
 // Lazy views vs eager operators: byte-identity.
 // ---------------------------------------------------------------------
 
-TEST(ViewTest, ZoomOutViewMaterializesByteIdenticalToEagerZoom) {
+TEST(ViewTest, ZoomViewMaterializesByteIdenticalToEagerZoom) {
   ProvenanceGraph original = BuildDealershipGraph();
   for (const std::set<std::string>& modules :
        {std::set<std::string>{"dealer"},
@@ -210,7 +237,8 @@ TEST(ViewTest, ZoomOutViewMaterializesByteIdenticalToEagerZoom) {
     ProvenanceGraph base = CloneSealed(original);
     Result<GraphSnapshot> snap = GraphSnapshot::Capture(base);
     LIPSTICK_ASSERT_OK(snap.status());
-    Result<GraphView> view = ZoomOutView(*snap, modules, 4);
+    Result<GraphView> view =
+        ZoomView(*snap, {modules.begin(), modules.end()}, 4);
     LIPSTICK_ASSERT_OK(view.status());
     Result<ProvenanceGraph> materialized = view->Materialize();
     LIPSTICK_ASSERT_OK(materialized.status());
@@ -223,17 +251,17 @@ TEST(ViewTest, ZoomOutViewMaterializesByteIdenticalToEagerZoom) {
   }
 }
 
-TEST(ViewTest, ZoomOutViewDotMatchesEagerDot) {
+TEST(ViewTest, ZoomViewDotMatchesEagerDot) {
   ProvenanceGraph original = BuildDealershipGraph();
   ProvenanceGraph eager = CloneSealed(original);
   Zoomer zoomer(&eager);
   LIPSTICK_ASSERT_OK(zoomer.ZoomOut({"dealer"}));
   std::ostringstream eager_dot;
-  LIPSTICK_ASSERT_OK(WriteDot(eager, eager_dot));
+  LIPSTICK_ASSERT_OK(WriteDot(testing::Snap(eager), eager_dot));
 
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(original);
   LIPSTICK_ASSERT_OK(snap.status());
-  Result<GraphView> view = ZoomOutView(*snap, {"dealer"}, 2);
+  Result<GraphView> view = ZoomView(*snap, {"dealer"}, 2);
   LIPSTICK_ASSERT_OK(view.status());
   std::ostringstream view_dot;
   LIPSTICK_ASSERT_OK(WriteDot(*view, view_dot));
@@ -243,23 +271,26 @@ TEST(ViewTest, ZoomOutViewDotMatchesEagerDot) {
   Result<ProvenanceGraph> materialized = view->Materialize();
   LIPSTICK_ASSERT_OK(materialized.status());
   std::ostringstream mat_dot;
-  LIPSTICK_ASSERT_OK(WriteDot(*materialized, mat_dot));
+  LIPSTICK_ASSERT_OK(WriteDot(testing::Snap(*materialized), mat_dot));
   EXPECT_EQ(view_dot.str(), mat_dot.str());
 }
 
-TEST(ViewTest, SubgraphViewMatchesEagerRestriction) {
+TEST(ViewTest, SubgraphPlanViewMatchesEagerRestriction) {
   ProvenanceGraph original = BuildDealershipGraph();
-  std::vector<NodeId> tokens = FindNodes(original, ByLabel(NodeLabel::kToken));
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(original);
+  LIPSTICK_ASSERT_OK(snap.status());
+  std::vector<NodeId> tokens = FindNodes(*snap, ByLabel(NodeLabel::kToken));
   ASSERT_FALSE(tokens.empty());
   NodeId node = tokens.front();
 
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(original);
-  LIPSTICK_ASSERT_OK(snap.status());
-  auto members = *SubgraphQuery(*snap, node);
-  Result<GraphView> view = SubgraphView(*snap, node, 4);
+  std::set<NodeId> members =
+      testing::IdSet(*SubgraphNodes(*snap, node, 4));
+  Result<Plan> plan = ParsePlan(StrCat("subgraph ", node), {});
+  LIPSTICK_ASSERT_OK(plan.status());
+  Result<GraphView> view = BuildPlanView(*snap, *plan, 4);
   LIPSTICK_ASSERT_OK(view.status());
   EXPECT_EQ(view->num_visible(), members.size());
-  EXPECT_EQ(view->VisibleSet(), members);
+  EXPECT_EQ(VisibleIds(*view), members);
 
   // Eager restriction: kill every non-member on a clone and save.
   ProvenanceGraph eager = CloneSealed(original);
@@ -275,17 +306,17 @@ TEST(ViewTest, SubgraphViewMatchesEagerRestriction) {
   DotOptions options;
   options.subset = {members.begin(), members.end()};
   std::ostringstream restricted_dot;
-  LIPSTICK_ASSERT_OK(WriteDot(original, restricted_dot, options));
+  LIPSTICK_ASSERT_OK(WriteDot(*snap, restricted_dot, options));
   std::ostringstream view_dot;
   LIPSTICK_ASSERT_OK(WriteDot(*view, view_dot));
   EXPECT_EQ(view_dot.str(), restricted_dot.str());
 }
 
-TEST(ViewTest, ZoomOutViewOfUnknownModuleFails) {
+TEST(ViewTest, ZoomViewOfUnknownModuleFails) {
   ProvenanceGraph g = BuildDealershipGraph();
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
   LIPSTICK_ASSERT_OK(snap.status());
-  EXPECT_FALSE(ZoomOutView(*snap, {"nonexistent_module"}, 1).ok());
+  EXPECT_FALSE(ZoomView(*snap, {"nonexistent_module"}, 1).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -306,11 +337,12 @@ TEST(SnapshotStressTest, ConcurrentMixedReadersMatchBaseline) {
 
   // Single-threaded baselines.
   const std::string baseline_zoom_bytes = [&] {
-    Result<GraphView> view = ZoomOutView(snap, {"dealer"}, 1);
+    Result<GraphView> view = ZoomView(snap, {"dealer"}, 1);
     EXPECT_TRUE(view.ok());
     return SaveBytes(*view->Materialize());
   }();
-  const auto baseline_members = *SubgraphQuery(snap, probe);
+  const std::set<NodeId> baseline_members =
+      testing::IdSet(*SubgraphNodes(snap, probe));
   const auto baseline_depends = *DependsOn(snap, other, probe);
   const auto baseline_stats = *ComputeGraphStats(snap);
 
@@ -324,7 +356,7 @@ TEST(SnapshotStressTest, ConcurrentMixedReadersMatchBaseline) {
       for (int round = 0; round < kRounds; ++round) {
         switch ((t + round) % 4) {
           case 0: {
-            Result<GraphView> view = ZoomOutView(snap, {"dealer"}, 2);
+            Result<GraphView> view = ZoomView(snap, {"dealer"}, 2);
             if (!view.ok() ||
                 SaveBytes(*view->Materialize()) != baseline_zoom_bytes) {
               mismatches.fetch_add(1);
@@ -332,8 +364,8 @@ TEST(SnapshotStressTest, ConcurrentMixedReadersMatchBaseline) {
             break;
           }
           case 1: {
-            auto members = SubgraphQuery(snap, probe);
-            if (!members.ok() || *members != baseline_members) {
+            auto members = SubgraphNodes(snap, probe);
+            if (!members.ok() || testing::IdSet(*members) != baseline_members) {
               mismatches.fetch_add(1);
             }
             break;

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "pig/interpreter.h"
 #include "pig/parser.h"
 #include "provenance/graph.h"
+#include "provenance/snapshot.h"
 #include "relational/value.h"
 
 namespace lipstick::testing {
@@ -19,6 +22,25 @@ namespace lipstick::testing {
 /// gtest container matchers.
 inline std::vector<NodeId> ToVec(std::span<const NodeId> ids) {
   return std::vector<NodeId>(ids.begin(), ids.end());
+}
+
+/// The read snapshot every query takes: a full capture of a sealed graph,
+/// or a parent-edges-only capture of an unsealed one (the sealed-only
+/// queries then fail with kInvalidArgument, as they should).
+inline GraphSnapshot Snap(const ProvenanceGraph& graph) {
+  if (!graph.sealed()) return GraphSnapshot::CaptureForParents(graph);
+  return *GraphSnapshot::Capture(graph);
+}
+
+/// Node-id results (unspecified order) as an ordered set, for equality
+/// checks and readable failure output.
+inline std::set<NodeId> IdSet(const std::vector<NodeId>& ids) {
+  return std::set<NodeId>(ids.begin(), ids.end());
+}
+
+/// True iff `id` occurs in `ids`.
+inline bool Has(const std::vector<NodeId>& ids, NodeId id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
 }
 
 /// EXPECT that a Status/Result is OK, printing the message otherwise.

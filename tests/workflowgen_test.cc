@@ -12,6 +12,9 @@
 namespace lipstick::workflowgen {
 namespace {
 
+using lipstick::testing::Has;
+using lipstick::testing::Snap;
+
 TEST(DealershipTest, WorkflowValidates) {
   DealershipConfig cfg;
   cfg.num_cars = 40;
@@ -155,14 +158,14 @@ TEST(DealershipTest, FineGrainedDependencyStat) {
   }
   ASSERT_NE(sold_output, kInvalidNode);
 
-  auto ancestors = Ancestors(graph, sold_output);
+  auto ancestors = Ancestors(Snap(graph), sold_output);
   size_t state_bases_in_ancestry = 0;
   size_t state_bases_total = 0;
   for (NodeId id : graph.AllNodeIds()) {
     if (!graph.Contains(id)) continue;
     if (graph.node(id).role() != NodeRole::kStateBase) continue;
     ++state_bases_total;
-    if (ancestors.count(id)) ++state_bases_in_ancestry;
+    if (Has(ancestors, id)) ++state_bases_in_ancestry;
   }
   ASSERT_GT(state_bases_total, 0u);
   double fraction = static_cast<double>(state_bases_in_ancestry) /
@@ -322,7 +325,7 @@ TEST(ArcticTest, WhatIfDeletionOnColdestObservation) {
     }
   }
   ASSERT_NE(used_base, kInvalidNode);
-  auto deleted = *ComputeDeletionSet(graph, {used_base});
+  auto deleted = *ComputeDeletionSet(Snap(graph), {used_base});
   EXPECT_GT(deleted.size(), 1u);
 }
 

@@ -16,12 +16,15 @@
 //   lipstick query <graph.pg> find [--label L] [--role R] [--payload S]
 //   lipstick query <graph.pg> expr <node-id>
 //   lipstick query <graph.pg> depends <target-id> <source-id>
-//   lipstick query <graph.pg> subgraph <node-id> [--out g.dot]
+//   lipstick query <graph.pg> subgraph <node-id> [--out f]
 //   lipstick query <graph.pg> delete <node-id> [--out g.pg]
-//   lipstick query <graph.pg> zoomout <module> [<module>...] [--out g.pg]
+//   lipstick query <graph.pg> zoomout <module> [<module>...] [--out f]
+//   lipstick query <graph.pg> restrict [--label L] [--role R] [--payload S]
+//                  [--out f]
 //   lipstick query <graph.pg> dot [--out graph.dot]
 //   lipstick query <graph.pg> opm --out graph.xml
 //   lipstick query <graph.pg> "zoomout m1,m2 | subgraph 42 | stats" [--out f]
+//   (view queries write --out as .pg when f ends in .pg, else as .dot)
 //   lipstick explain <graph.pg> <query...> [--json]
 //   lipstick query <graph.pg> --batch <queries.txt> [--threads N]
 //   lipstick serve [name=]graph.pg... [--host H] [--port P] [--workers N]
@@ -988,78 +991,40 @@ int CmdQuery(const std::vector<std::string>& args) {
     return RunBatch(*snap, batch_path, threads);
   }
 
-  if (op == "stats" || op == "find" || op == "expr" || op == "depends" ||
-      op == "restrict" || op == "explain" ||
-      (op == "subgraph" && out_path.empty()) ||
-      (op == "zoomout" && out_path.empty()) ||
-      (pipeline && out_path.empty())) {
+  // View queries with --out build the plan's composed view once and save
+  // it: .pg materializes a standalone graph, anything else renders dot.
+  bool view_query = pipeline || op == "subgraph" || op == "zoomout" ||
+                    op == "restrict";
+  if (view_query && !out_path.empty()) {
+    Result<service::ParsedQuery> parsed = service::ParseQuery(op, rest);
+    if (!parsed.ok()) return Fail(parsed.status().ToString());
+    const Plan& plan = parsed->optimized.plan;
+    // A terminal stage leaves no graph to save: it runs below and --out is
+    // ignored, the way `stats --out` always has.
+    if (plan.ops.back().IsViewOp()) {
+      std::string summary;
+      Result<GraphView> view = BuildPlanView(*snap, plan, threads, &summary);
+      if (!view.ok()) return Fail(view.status().ToString());
+      std::fputs(summary.c_str(), stdout);
+      Status st;
+      if (EndsWith(out_path, ".pg")) {
+        Result<ProvenanceGraph> mat = view->Materialize();
+        if (!mat.ok()) return Fail(mat.status().ToString());
+        st = SaveGraphToFile(*mat, out_path);
+      } else {
+        st = WriteDotToFile(*view, out_path);
+      }
+      if (!st.ok()) return Fail(st.ToString());
+      std::printf("wrote %s\n", out_path.c_str());
+      return 0;
+    }
+  }
+  if (view_query || op == "stats" || op == "find" || op == "expr" ||
+      op == "depends" || op == "explain") {
     Result<std::string> text =
         service::ExecuteReadQuery(*snap, op, rest, threads);
     if (!text.ok()) return Fail(text.status().ToString());
     std::fputs(text->c_str(), stdout);
-    return 0;
-  }
-  if (pipeline) {
-    // Pipeline with --out: build the composed view once, then save it —
-    // .pg materializes a standalone graph, anything else renders dot.
-    Result<Plan> plan = ParsePlan(op, rest);
-    if (!plan.ok()) return Fail(plan.status().ToString());
-    OptimizedPlan optimized = OptimizePlan(*plan);
-    if (!optimized.plan.ops.back().IsViewOp()) {
-      // A terminal stage leaves no graph to save; run it and ignore
-      // --out, the way `stats --out` always has.
-      Result<std::string> text =
-          service::ExecuteReadQuery(*snap, op, rest, threads);
-      if (!text.ok()) return Fail(text.status().ToString());
-      std::fputs(text->c_str(), stdout);
-      return 0;
-    }
-    Result<GraphView> view = BuildPlanView(*snap, optimized.plan, threads);
-    if (!view.ok()) return Fail(view.status().ToString());
-    std::printf("pipeline view: %zu nodes\n", view->num_visible());
-    if (EndsWith(out_path, ".pg")) {
-      Result<ProvenanceGraph> mat = view->Materialize();
-      if (!mat.ok()) return Fail(mat.status().ToString());
-      Status st = SaveGraphToFile(*mat, out_path);
-      if (!st.ok()) return Fail(st.ToString());
-    } else {
-      Status st = WriteDotToFile(*view, out_path);
-      if (!st.ok()) return Fail(st.ToString());
-    }
-    std::printf("wrote %s\n", out_path.c_str());
-    return 0;
-  }
-  if (op == "subgraph") {
-    // --out given: build the lazy view once and render it directly —
-    // byte-identical to materializing and rendering the restricted graph.
-    if (rest.size() != 1) return FailUsage();
-    Result<NodeId> id = service::ParseNodeId(rest[0]);
-    if (!id.ok()) return Fail(id.status().ToString());
-    Result<GraphView> view = SubgraphView(*snap, *id, threads);
-    if (!view.ok()) return Fail(view.status().ToString());
-    std::printf("subgraph of %llu: %zu nodes\n",
-                static_cast<unsigned long long>(*id), view->num_visible());
-    Status st = WriteDotToFile(*view, out_path);
-    if (!st.ok()) return Fail(st.ToString());
-    std::printf("wrote %s\n", out_path.c_str());
-    return 0;
-  }
-  if (op == "zoomout") {
-    if (rest.empty()) return FailUsage();
-    // Lazy: plan the collapse as a view; the standalone zoomed graph is
-    // materialized only when --out asks for it.
-    Result<GraphView> view =
-        ZoomOutView(*snap, {rest.begin(), rest.end()}, threads);
-    if (!view.ok()) return Fail(view.status().ToString());
-    std::printf("zoomed out of %zu module(s); %zu nodes remain\n",
-                rest.size(), view->num_visible());
-    if (!out_path.empty()) {
-      Result<ProvenanceGraph> zoomed = view->Materialize();
-      if (!zoomed.ok()) return Fail(zoomed.status().ToString());
-      Status st = SaveGraphToFile(*zoomed, out_path);
-      if (!st.ok()) return Fail(st.ToString());
-      std::printf("wrote %s\n", out_path.c_str());
-    }
     return 0;
   }
   if (op == "opm") {
