@@ -63,6 +63,34 @@ void RenderFindLine(std::string* out, NodeId id, NodeLabel label,
   out->push_back('\n');
 }
 
+/// Every node id an operator names must exist where it runs: a node ever
+/// created in the graph (alive or dead) or, under a composed view, one of
+/// the view's synthetic zoom nodes. Hidden and dead nodes keep their
+/// answers (an empty subgraph, "no", "0"); an id that was never created is
+/// NotFound, so a mistyped id does not read as an empty result.
+Status CheckNodeIds(const GraphSnapshot& snap, const GraphView* view,
+                    const PlanOp& op) {
+  auto check = [&](NodeId id) {
+    if (snap.InGraph(id) || (view != nullptr && view->IsSynthetic(id))) {
+      return Status::OK();
+    }
+    return Status::NotFound(StrCat("node ", id, " is not in the graph"));
+  };
+  switch (op.kind) {
+    case PlanOpKind::kExpr:
+      return check(op.target);
+    case PlanOpKind::kDepends:
+      LIPSTICK_RETURN_IF_ERROR(check(op.target));
+      return check(op.source);
+    case PlanOpKind::kSubgraph:
+    case PlanOpKind::kDeleteProp:
+      for (NodeId id : op.nodes) LIPSTICK_RETURN_IF_ERROR(check(id));
+      return Status::OK();
+    default:
+      return Status::OK();
+  }
+}
+
 /// ------------------------------------------------------------------
 /// Terminals on a bare snapshot (plans without view operators, and the
 /// naive executor after it materialized every stage). These are the
@@ -71,6 +99,7 @@ void RenderFindLine(std::string* out, NodeId id, NodeLabel label,
 
 Result<std::string> RenderTerminalOnSnapshot(const GraphSnapshot& snap,
                                              const PlanOp& op, int threads) {
+  LIPSTICK_RETURN_IF_ERROR(CheckNodeIds(snap, nullptr, op));
   std::string out;
   switch (op.kind) {
     case PlanOpKind::kStats: {
@@ -235,6 +264,7 @@ std::string ViewExprString(const GraphView& view, NodeId id, int depth) {
 
 Result<std::string> RenderTerminalOnView(const GraphView& view,
                                          const PlanOp& op) {
+  LIPSTICK_RETURN_IF_ERROR(CheckNodeIds(view.snapshot(), &view, op));
   std::string out;
   switch (op.kind) {
     case PlanOpKind::kStats: {
@@ -318,6 +348,7 @@ std::string RenderViewSummary(const PlanOp& op, size_t num_visible,
 /// Applies one view stage; returns the DeleteProp removal count (0 for the
 /// other stage kinds).
 Result<size_t> ApplyStage(GraphView* view, const PlanOp& op, int threads) {
+  LIPSTICK_RETURN_IF_ERROR(CheckNodeIds(view->snapshot(), view, op));
   switch (op.kind) {
     case PlanOpKind::kZoomOut:
       LIPSTICK_RETURN_IF_ERROR(view->ApplyZoomOut(op.modules, threads));

@@ -111,6 +111,20 @@ NodeId ShardWriter::Append(NodeLabel label, NodeRole role, uint32_t flags,
   return id;
 }
 
+void ShardWriter::Reserve(size_t nodes, size_t arena_edges, size_t values) {
+  NodeColumns& sh = graph_->shards_[shard_];
+  size_t n = sh.size() + nodes;
+  sh.labels.reserve(n);
+  sh.roles.reserve(n);
+  sh.flags.reserve(n);
+  sh.invocations.reserve(n);
+  sh.payloads.reserve(n);
+  sh.parents.reserve(n);
+  sh.value_idx.reserve(n);
+  sh.edge_arena.reserve(sh.edge_arena.size() + arena_edges);
+  sh.values.reserve(sh.values.size() + values);
+}
+
 NodeId ShardWriter::Token(std::string name, NodeRole role) {
   return Append(NodeLabel::kToken, role, kAliveFlag, current_invocation_,
                 graph_->pool_.Intern(name), {});

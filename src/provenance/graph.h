@@ -304,6 +304,11 @@ class ShardWriter {
     return Append(label, role, flags, invocation, payload, parents);
   }
 
+  /// Reserves column capacity for `nodes` more appends holding
+  /// `arena_edges` overflow parent ids and `values` carried values
+  /// (bulk-load path: one allocation per column instead of regrowth).
+  void Reserve(size_t nodes, size_t arena_edges, size_t values);
+
   /// Registers a module invocation and creates its "m" node.
   uint32_t BeginInvocation(std::string module_name, std::string instance_name,
                            uint32_t execution);

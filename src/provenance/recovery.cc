@@ -17,7 +17,7 @@ namespace lipstick {
 
 namespace {
 
-using walfmt::Cursor;
+using bytecodec::Cursor;
 using walfmt::Record;
 using walfmt::RecordType;
 
@@ -156,7 +156,7 @@ Status ApplyRecord(ProvenanceGraph* graph, const Record& rec,
     }
     case RecordType::kNodeValue: {
       NodeId id = c.U64();
-      LIPSTICK_ASSIGN_OR_RETURN(Value value, walfmt::DecodeValue(&c));
+      LIPSTICK_ASSIGN_OR_RETURN(Value value, bytecodec::DecodeValue(&c));
       if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
       if (!graph->InGraph(id)) {
         return Status::Internal(

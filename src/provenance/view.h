@@ -19,7 +19,7 @@ namespace lipstick {
 /// GraphSnapshot plus, for zoom, synthetic collapsed module nodes and
 /// parent rewirings. Nothing is copied or mutated when a view is built —
 /// the view materializes into a standalone ProvenanceGraph only on export,
-/// and materialization is byte-identical (provio v2) to what the eager,
+/// and materialization is byte-identical (provio) to what the eager,
 /// mutating operator produces.
 ///
 /// Views compose: the plan executor (provenance/exec.h) starts from
@@ -203,7 +203,7 @@ class GraphView {
 
   /// Builds a standalone graph equal to what the eager operator would have
   /// produced by mutation: same string pool, same node ids, same liveness,
-  /// same (rewired) parents, sealed. Byte-identical under provio v2.
+  /// same (rewired) parents, sealed. Byte-identical under provio.
   Result<ProvenanceGraph> Materialize() const;
 
  private:

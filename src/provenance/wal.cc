@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -33,137 +32,6 @@ const char* FsyncPolicyToString(FsyncPolicy policy) {
 }
 
 namespace walfmt {
-
-uint32_t Crc32(const void* data, size_t n) {
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xffffffffu;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
-}
-
-namespace {
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-               static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-  out->append(b, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-}  // namespace
-
-uint8_t Cursor::U8() {
-  if (end - p < 1) {
-    ok = false;
-    return 0;
-  }
-  return static_cast<uint8_t>(*p++);
-}
-
-uint32_t Cursor::U32() {
-  if (end - p < 4) {
-    ok = false;
-    p = end;
-    return 0;
-  }
-  uint32_t v = static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-               static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-               static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-               static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
-  p += 4;
-  return v;
-}
-
-uint64_t Cursor::U64() {
-  uint64_t lo = U32();
-  uint64_t hi = U32();
-  return lo | hi << 32;
-}
-
-std::string_view Cursor::Bytes(size_t n) {
-  if (static_cast<size_t>(end - p) < n) {
-    ok = false;
-    p = end;
-    return {};
-  }
-  std::string_view s(p, n);
-  p += n;
-  return s;
-}
-
-void EncodeValue(std::string* out, const Value& v) {
-  if (v.is_bool()) {
-    PutU8(out, 'B');
-    PutU8(out, v.bool_value() ? 1 : 0);
-  } else if (v.is_int()) {
-    PutU8(out, 'I');
-    PutU64(out, static_cast<uint64_t>(v.int_value()));
-  } else if (v.is_double()) {
-    PutU8(out, 'D');
-    uint64_t bits;
-    double d = v.double_value();
-    std::memcpy(&bits, &d, sizeof bits);
-    PutU64(out, bits);
-  } else if (v.is_string()) {
-    const std::string& s = v.string_value();
-    PutU8(out, 'S');
-    PutU32(out, static_cast<uint32_t>(s.size()));
-    out->append(s);
-  } else {
-    // Null, or a nested bag/tuple — nested values degrade to null exactly
-    // like the provio text format.
-    PutU8(out, 'N');
-  }
-}
-
-Result<Value> DecodeValue(Cursor* c) {
-  uint8_t tag = c->U8();
-  switch (tag) {
-    case 'N':
-      return Value::Null();
-    case 'B':
-      return Value::Bool(c->U8() != 0);
-    case 'I':
-      return Value::Int(static_cast<int64_t>(c->U64()));
-    case 'D': {
-      uint64_t bits = c->U64();
-      double d;
-      std::memcpy(&d, &bits, sizeof d);
-      return Value::Double(d);
-    }
-    case 'S': {
-      uint32_t n = c->U32();
-      std::string_view s = c->Bytes(n);
-      if (!c->ok) break;
-      return Value::String(std::string(s));
-    }
-    default:
-      break;
-  }
-  return Status::ParseError(
-      StrCat("wal: bad value tag ", static_cast<int>(tag)));
-}
 
 std::string SegmentFileName(uint64_t seq) {
   char buf[32];
@@ -218,7 +86,7 @@ SegmentScanner::SegmentScanner(std::string_view data) : data_(data) {
     torn_reason_ = "bad magic";
     return;
   }
-  Cursor c(data_.substr(kMagicBytes, 12));
+  bytecodec::Cursor c(data_.substr(kMagicBytes, 12));
   uint32_t version = c.U32();
   sequence_ = c.U64();
   if (version != kVersion) {
@@ -238,7 +106,7 @@ bool SegmentScanner::Next(Record* out) {
     torn_reason_ = "short frame header";
     return false;
   }
-  Cursor c(data_.substr(offset_, kFrameBytes));
+  bytecodec::Cursor c(data_.substr(offset_, kFrameBytes));
   uint32_t len = c.U32();
   uint32_t crc = c.U32();
   if (len == 0 || len > kMaxRecordBytes) {
@@ -250,7 +118,7 @@ bool SegmentScanner::Next(Record* out) {
     return false;
   }
   const char* body = data_.data() + offset_ + kFrameBytes;
-  if (Crc32(body, len) != crc) {
+  if (bytecodec::Crc32(body, len) != crc) {
     torn_reason_ = "bad crc";
     return false;
   }
@@ -265,9 +133,9 @@ bool SegmentScanner::Next(Record* out) {
 
 namespace {
 
-using walfmt::PutU32;
-using walfmt::PutU64;
-using walfmt::PutU8;
+using bytecodec::PutU32;
+using bytecodec::PutU64;
+using bytecodec::PutU8;
 using walfmt::RecordType;
 
 struct WalMetrics {
@@ -428,12 +296,9 @@ void Wal::AppendRecordLocked(RecordType type, std::string_view payload) {
   PutU32(&buffer_, 0);  // CRC placeholder, patched below
   buffer_.push_back(static_cast<char>(type));
   buffer_.append(payload);
-  uint32_t crc =
-      walfmt::Crc32(buffer_.data() + frame_at + walfmt::kFrameBytes, len);
-  char crc_bytes[4] = {
-      static_cast<char>(crc), static_cast<char>(crc >> 8),
-      static_cast<char>(crc >> 16), static_cast<char>(crc >> 24)};
-  std::memcpy(&buffer_[frame_at + 4], crc_bytes, 4);
+  bytecodec::PatchU32(
+      &buffer_, frame_at + 4,
+      bytecodec::Crc32(buffer_.data() + frame_at + walfmt::kFrameBytes, len));
 
   uint64_t framed = walfmt::kFrameBytes + len;
   bytes_appended_ += framed;
@@ -782,7 +647,7 @@ void Wal::OnNodeAppend(NodeId id, NodeLabel label, NodeRole role,
 void Wal::OnNodeValue(NodeId id, const Value& value) {
   std::string& p = Scratch();
   PutU64(&p, id);
-  walfmt::EncodeValue(&p, value);
+  bytecodec::EncodeValue(&p, value);
   AppendRecord(RecordType::kNodeValue, p);
 }
 

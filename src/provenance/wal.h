@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "common/result.h"
+#include "provenance/bytecodec.h"
 #include "provenance/graph.h"
 
 namespace lipstick {
@@ -21,8 +22,10 @@ namespace lipstick {
 ///
 /// Directory layout:
 ///   wal-<seq>.log   log segments, strictly increasing sequence numbers
-///   ckpt-<seq>.pg   checkpoint: provio v2 snapshot of the graph at the
-///                   instant segment <seq> was opened
+///   ckpt-<seq>.pg   checkpoint: a binary provio v3 snapshot of the graph
+///                   (provio.h) at the instant segment <seq> was opened;
+///                   pre-v3 directories may hold v2 text checkpoints,
+///                   which recovery still reads
 /// A checkpoint supersedes every earlier segment; Checkpoint() deletes
 /// them once the snapshot and the new segment head are durable. Open()
 /// never appends to an existing segment (its tail may be torn): it always
@@ -94,15 +97,6 @@ enum class RecordType : uint8_t {
   kSavepoint = 12,        // u32 execution, u64 inv_count, u32 n, u64[n]
 };
 
-uint32_t Crc32(const void* data, size_t n);
-
-/// Binary scalar-value codec shared by kNodeValue writers and the
-/// recovery replayer (tag byte + payload; nested values degrade to null,
-/// matching provio).
-void EncodeValue(std::string* out, const Value& v);
-struct Cursor;
-Result<Value> DecodeValue(Cursor* c);
-
 /// Formats "wal-0000000042.log" / "ckpt-0000000042.pg".
 std::string SegmentFileName(uint64_t seq);
 std::string CheckpointFileName(uint64_t seq);
@@ -149,22 +143,6 @@ class SegmentScanner {
   std::string torn_reason_;
 };
 
-/// Little-endian payload cursor used to decode record payloads. Reads past
-/// the end set ok = false and return zeros rather than trapping, so the
-/// replayer can validate once at the end of each record.
-struct Cursor {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  explicit Cursor(std::string_view s) : p(s.data()), end(s.data() + s.size()) {}
-  uint8_t U8();
-  uint32_t U32();
-  uint64_t U64();
-  std::string_view Bytes(size_t n);
-  bool AtEnd() const { return p == end; }
-};
-
 }  // namespace walfmt
 
 /// The write-ahead log writer. Implements GraphWalSink; attach with
@@ -199,7 +177,7 @@ class Wal final : public GraphWalSink {
   Status CommitInvocation(uint32_t invocation);
   Status MarkSavepoint(uint32_t execution);
 
-  /// Snapshots the attached graph as a provio v2 checkpoint, rolls to a
+  /// Snapshots the attached graph as a provio v3 checkpoint, rolls to a
   /// new segment, and deletes the superseded segments. Call at a quiescent
   /// point (no concurrent writers), e.g. right after MarkSavepoint.
   Status Checkpoint();

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -12,6 +13,9 @@
 namespace lipstick::service {
 
 namespace {
+
+/// Largest piece of a frame payload read (and allocated) at once.
+constexpr size_t kReadChunkBytes = 64 * 1024;
 
 /// Reads exactly `n` bytes. Returns the number of bytes read before EOF
 /// (n on success), or -1 on a socket error.
@@ -64,10 +68,18 @@ Result<std::string> ReadFrame(int fd) {
     return Status::InvalidArgument(
         StrCat("frame length ", len, " exceeds limit ", kMaxFrameBytes));
   }
-  std::string payload(len, '\0');
-  if (len > 0 && ReadFull(fd, payload.data(), len) !=
-                     static_cast<ssize_t>(len)) {
-    return Status::IOError("short read on frame payload");
+  // The payload arrives in bounded chunks and the buffer grows only as
+  // bytes do, so a header alone cannot make the server allocate the
+  // length it claims (up to kMaxFrameBytes per connection).
+  std::string payload;
+  while (payload.size() < len) {
+    size_t at = payload.size();
+    size_t want = std::min<size_t>(len - at, kReadChunkBytes);
+    payload.resize(at + want);
+    if (ReadFull(fd, payload.data() + at, want) !=
+        static_cast<ssize_t>(want)) {
+      return Status::IOError("short read on frame payload");
+    }
   }
   return payload;
 }

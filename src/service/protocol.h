@@ -43,7 +43,8 @@ inline constexpr char kFaultExec[] = "service.exec";
 /// Reads one length-prefixed frame from `fd`. kAborted = the peer closed
 /// the stream cleanly before any header byte (normal end of session);
 /// kIOError = short reads, socket errors, or an injected "service.read"
-/// fault; kInvalidArgument = oversized length prefix.
+/// fault; kInvalidArgument = oversized length prefix. Memory grows with
+/// the payload bytes actually received, not with the length prefix.
 Result<std::string> ReadFrame(int fd);
 
 /// Writes one length-prefixed frame to `fd` (full payload or error).

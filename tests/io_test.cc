@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "provenance/bytecodec.h"
 #include "provenance/provio.h"
 #include "relational/csv.h"
 #include "test_util.h"
@@ -214,6 +215,68 @@ TEST(WfDslTest, FileNotFound) {
 /// references (the recovery path feeds them checkpoint files that may have
 /// been cut short by a crash).
 
+/// A hand-written provio v2 text file (the format before v3; it is still
+/// read, no longer written): two shards, percent-escaped strings, every
+/// scalar value kind, a dead node and one invocation.
+constexpr char kV2Fixture[] =
+    "LIPSTICKGRAPH v2\n"
+    "shards 2\n"
+    "strings 4\n"
+    "s dealer\n"
+    "s dealer1\n"
+    "s tuple%20one\n"
+    "s COUNT\n"
+    // m-node, "I" token, "i" node ·(token, m) in shard 0.
+    "n 281474976710656 8 6 0 1 0 - 1 N\n"
+    "n 281474976710657 0 1 0 1 4294967295 - 3 N\n"
+    "n 281474976710658 2 2 0 1 0 281474976710657,281474976710656 0 N\n"
+    // Shard 1: constants of every scalar kind, an aggregate over three
+    // parents, and a dead tensor.
+    "n 562949953421312 6 0 1 1 0 - 0 I-42\n"
+    "n 562949953421313 6 0 1 1 0 - 0 D2.5\n"
+    "n 562949953421314 6 0 1 1 0 - 0 Shello%20world%25\n"
+    "n 562949953421315 6 0 1 1 0 - 0 B1\n"
+    "n 562949953421316 5 0 1 1 0 "
+    "562949953421312,562949953421313,281474976710658 4 I3\n"
+    "n 562949953421317 4 0 1 0 0 562949953421312,281474976710658 0 N\n"
+    "v 1 2 7 281474976710656 281474976710658 - -\n"
+    "end\n";
+
+/// Field-by-field graph equality over every node (alive or dead), the
+/// string pool and the invocation records.
+void ExpectSameGraph(const ProvenanceGraph& a, const ProvenanceGraph& b) {
+  ASSERT_EQ(a.num_shards(), b.num_shards());
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.strings().size(), b.strings().size());
+  for (StrId i = 0; i < a.strings().size(); ++i) {
+    EXPECT_EQ(a.str(i), b.str(i));
+  }
+  a.ForEachNode([&](NodeId id) {
+    NodeView x = a.node(id);
+    NodeView y = b.node(id);
+    EXPECT_EQ(x.label(), y.label()) << id;
+    EXPECT_EQ(x.role(), y.role()) << id;
+    EXPECT_EQ(x.alive(), y.alive()) << id;
+    EXPECT_EQ(x.is_value_node(), y.is_value_node()) << id;
+    EXPECT_EQ(x.invocation(), y.invocation()) << id;
+    EXPECT_EQ(x.payload_id(), y.payload_id()) << id;
+    EXPECT_EQ(testing::ToVec(x.parents()), testing::ToVec(y.parents())) << id;
+    EXPECT_EQ(x.value(), y.value()) << id;
+  });
+  ASSERT_EQ(a.invocations().size(), b.invocations().size());
+  for (size_t i = 0; i < a.invocations().size(); ++i) {
+    const InvocationInfo& x = a.invocations()[i];
+    const InvocationInfo& y = b.invocations()[i];
+    EXPECT_EQ(x.module_name, y.module_name);
+    EXPECT_EQ(x.instance_name, y.instance_name);
+    EXPECT_EQ(x.execution, y.execution);
+    EXPECT_EQ(x.m_node, y.m_node);
+    EXPECT_EQ(x.input_nodes, y.input_nodes);
+    EXPECT_EQ(x.output_nodes, y.output_nodes);
+    EXPECT_EQ(x.state_nodes, y.state_nodes);
+  }
+}
+
 /// Builds a tracked provenance dump of a few KiB by running the DSL
 /// workflow several times with provenance on.
 std::string TrackedGraphDump() {
@@ -245,15 +308,44 @@ TEST(ProvioRobustnessTest, TruncationSweepAlwaysReturnsStatus) {
     std::istringstream in(full);
     LIPSTICK_EXPECT_OK(LoadGraph(in).status());
   }
-  // Every proper prefix at a 1 KiB boundary must be rejected: either the
-  // cut lands mid-record (parse error) or after a complete record but
-  // before the end marker (truncation error). Never a crash, never a
-  // silently short graph.
-  for (size_t cut = 0; cut + 1 < full.size(); cut += 1024) {
+  // Every proper prefix must be rejected: the cut lands in the header
+  // line, a section frame (length + CRC), or a section body, and the
+  // invocations section is always last. Never a crash, never a silently
+  // short graph.
+  for (size_t cut = 0; cut < full.size(); ++cut) {
     std::istringstream in(full.substr(0, cut));
-    Result<ProvenanceGraph> r = LoadGraph(in);
-    EXPECT_FALSE(r.ok()) << "prefix of " << cut << " bytes loaded";
+    Status st = LoadGraph(in).status();
+    EXPECT_EQ(st.code(), StatusCode::kParseError)
+        << "prefix of " << cut << " bytes: " << st.ToString();
   }
+}
+
+TEST(ProvioRobustnessTest, ByteFlipSweepAlwaysReturnsParseError) {
+  std::string full = TrackedGraphDump();
+  // A flipped byte lands in the header line (bad or unsupported header),
+  // a section frame (wrong length or CRC), or a section body (caught by
+  // its CRC32, which detects every error burst of up to 32 bits).
+  for (size_t at = 0; at < full.size(); ++at) {
+    for (uint8_t mask : {uint8_t{0x01}, uint8_t{0xff}}) {
+      std::string bad = full;
+      bad[at] = static_cast<char>(bad[at] ^ mask);
+      std::istringstream in(bad);
+      Status st = LoadGraph(in).status();
+      EXPECT_EQ(st.code(), StatusCode::kParseError)
+          << "byte " << at << " ^ " << int{mask} << ": " << st.ToString();
+    }
+  }
+}
+
+TEST(ProvioRobustnessTest, Crc32MatchesTheStandardCheckValues) {
+  EXPECT_EQ(bytecodec::Crc32("123456789"), 0xcbf43926u);
+  std::string pattern;
+  for (int i = 0; i < 1000; ++i) {
+    pattern.push_back(static_cast<char>(i * 37 + 11));
+  }
+  EXPECT_EQ(bytecodec::Crc32(pattern), 0xc3905a1du);  // zlib.crc32
+  EXPECT_EQ(bytecodec::Crc32(std::string_view(pattern).substr(0, 17)),
+            0xcdfc844au);
 }
 
 TEST(ProvioRobustnessTest, GarbageHeadersRejected) {
@@ -279,13 +371,120 @@ TEST(ProvioRobustnessTest, OversizedCountsRejectedWithoutAllocating) {
 }
 
 TEST(ProvioRobustnessTest, MissingEndMarkerRejected) {
-  std::string full = TrackedGraphDump();
+  std::string full = kV2Fixture;
   size_t end_at = full.rfind("end\n");
   ASSERT_NE(end_at, std::string::npos);
   std::istringstream in(full.substr(0, end_at));
   Status st = LoadGraph(in).status();
   EXPECT_EQ(st.code(), StatusCode::kParseError);
   EXPECT_NE(st.message().find("end marker"), std::string::npos);
+}
+
+TEST(ProvioRobustnessTest, V3OversizedCountsRejectedWithoutAllocating) {
+  // Well-framed v3 files (valid lengths and CRCs) whose counts claim far
+  // more entries than their sections hold: each is rejected by comparing
+  // the count with the section's bytes, before anything is reserved.
+  auto section = [](const std::string& body) {
+    std::string out;
+    bytecodec::PutU32(&out, static_cast<uint32_t>(body.size()));
+    bytecodec::PutU32(&out, bytecodec::Crc32(body));
+    return out + body;
+  };
+  auto u32 = [](uint32_t v) {
+    std::string out;
+    bytecodec::PutU32(&out, v);
+    return out;
+  };
+  auto u64 = [](uint64_t v) {
+    std::string out;
+    bytecodec::PutU64(&out, v);
+    return out;
+  };
+  const std::string header = "LIPSTICKGRAPH v3\n";
+  const std::string one_shard = section(u32(1));
+  const std::string no_strings = section(u32(0));
+  const std::string empty_shard = section(u64(0) + u64(0) + u64(0));
+  const std::string no_invocations = section(u32(0));
+  auto expect_rejected = [](const std::string& file, const char* why) {
+    std::istringstream in(file);
+    Status st = LoadGraph(in).status();
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << st.ToString();
+    EXPECT_NE(st.message().find(why), std::string::npos) << st.ToString();
+  };
+
+  // The minimal well-formed file loads: the cases below differ from it in
+  // one count only.
+  {
+    std::istringstream in(header + one_shard + no_strings + empty_shard +
+                          no_invocations);
+    LIPSTICK_EXPECT_OK(LoadGraph(in).status());
+  }
+  // Shard counts: beyond the id space, and 65535 shards in a file with
+  // room for none of their sections (no 65535 shard columns get built).
+  expect_rejected(header + section(u32(4294967295u)) + no_strings +
+                      empty_shard + no_invocations,
+                  "bad shard count");
+  expect_rejected(header + section(u32(65535)) + no_strings + empty_shard +
+                      no_invocations,
+                  "bad shard count");
+  // 4 billion strings in a 4-byte section.
+  expect_rejected(header + one_shard + section(u32(4000000000u)) +
+                      empty_shard + no_invocations,
+                  "string count");
+  // 2^40 nodes, then 2^40 parent ids and values, in empty shards.
+  expect_rejected(header + one_shard + no_strings +
+                      section(u64(1ull << 40) + u64(0) + u64(0)) +
+                      no_invocations,
+                  "node count");
+  expect_rejected(header + one_shard + no_strings +
+                      section(u64(0) + u64(1ull << 40) + u64(0)) +
+                      no_invocations,
+                  "parent id count");
+  expect_rejected(header + one_shard + no_strings +
+                      section(u64(0) + u64(0) + u64(1ull << 40)) +
+                      no_invocations,
+                  "value count");
+  // 4 billion invocations, then one invocation whose input list claims
+  // 4 billion node ids.
+  expect_rejected(header + one_shard + no_strings + empty_shard +
+                      section(u32(4000000000u)),
+                  "invocation count");
+  expect_rejected(header + one_shard + no_strings + empty_shard +
+                      section(u32(1) + u32(0) + u32(0) + u32(0) + u64(0) +
+                              u32(4000000000u) + u32(0) + u32(0)),
+                  "node id count");
+}
+
+TEST(ProvioRobustnessTest, V2TextFixtureLoadsAndResavesAsV3) {
+  std::istringstream v2(kV2Fixture);
+  Result<ProvenanceGraph> old_format = LoadGraph(v2);
+  LIPSTICK_ASSERT_OK(old_format.status());
+  ASSERT_EQ(old_format->num_shards(), 2u);
+  ASSERT_EQ(old_format->num_nodes(), 9u);
+  EXPECT_EQ(old_format->node(MakeNodeId(0, 1)).payload(), "tuple one");
+  EXPECT_EQ(old_format->node(MakeNodeId(1, 0)).value(), Value::Int(-42));
+  EXPECT_EQ(old_format->node(MakeNodeId(1, 1)).value(), Value::Double(2.5));
+  EXPECT_EQ(old_format->node(MakeNodeId(1, 2)).value(),
+            Value::String("hello world%"));
+  EXPECT_EQ(old_format->node(MakeNodeId(1, 3)).value(), Value::Bool(true));
+  EXPECT_EQ(old_format->node(MakeNodeId(1, 4)).num_parents(), 3u);
+  EXPECT_FALSE(old_format->Contains(MakeNodeId(1, 5)));
+  ASSERT_EQ(old_format->invocations().size(), 1u);
+  EXPECT_EQ(old_format->str(old_format->invocations()[0].instance_name),
+            "dealer1");
+
+  // Re-saved, it is a v3 file that loads back to an equal graph, and
+  // saving that again is byte-identical.
+  std::ostringstream v3;
+  LIPSTICK_ASSERT_OK(SaveGraph(*old_format, v3));
+  ASSERT_EQ(v3.str().rfind("LIPSTICKGRAPH v3\n", 0), 0u);
+  std::istringstream in(v3.str());
+  Result<ProvenanceGraph> new_format = LoadGraph(in);
+  LIPSTICK_ASSERT_OK(new_format.status());
+  ExpectSameGraph(*old_format, *new_format);
+  std::ostringstream again;
+  LIPSTICK_ASSERT_OK(SaveGraph(*new_format, again));
+  EXPECT_EQ(v3.str(), again.str());
 }
 
 TEST(ProvioRobustnessTest, DanglingReferencesRejected) {

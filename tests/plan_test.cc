@@ -289,6 +289,54 @@ TEST_F(PlanEquivalenceTest, ErrorsPropagateThroughBothExecutors) {
             std::string(naive.status().message()));
 }
 
+TEST_F(PlanEquivalenceTest, UnknownNodeIdsAreNotFoundInBothExecutors) {
+  // Ids never created in the graph: one with no valid shard field, and one
+  // far past the end of shard 0 (beyond any synthetic zoom id too).
+  const NodeId missing = MakeNodeId(0, graph_->ShardSize(0) + 100000);
+  for (const std::string& q :
+       {std::string("subgraph 999999"), std::string("expr 999999"),
+        StrCat("depends ", agg_out_, " 999999"),
+        StrCat("depends 999999 ", agg_out_),
+        StrCat("subgraph ", agg_out_, " | delete ", missing),
+        StrCat("delete ", missing, " | stats"),
+        StrCat("subgraph ", agg_out_, " | expr ", missing),
+        StrCat("zoomout dealer | subgraph ", token_, ",", missing)}) {
+    Result<Plan> plan = ParsePlan(q, {});
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    Result<std::string> fused = ExecutePlan(*snap_, OptimizePlan(*plan));
+    Result<std::string> naive = ExecutePlanNaive(*snap_, *plan);
+    ASSERT_FALSE(fused.ok()) << q << " -> " << *fused;
+    ASSERT_FALSE(naive.ok()) << q << " -> " << *naive;
+    EXPECT_EQ(fused.status().code(), StatusCode::kNotFound) << q;
+    EXPECT_EQ(fused.status().ToString(), naive.status().ToString()) << q;
+    EXPECT_NE(fused.status().message().find("is not in the graph"),
+              std::string::npos)
+        << fused.status().ToString();
+    if (!plan->HasTerminal()) {
+      EXPECT_EQ(BuildPlanView(*snap_, *plan).status().code(),
+                StatusCode::kNotFound)
+          << q;
+    }
+  }
+}
+
+TEST_F(PlanEquivalenceTest, HiddenDeadAndSyntheticIdsKeepTheirAnswers) {
+  // A node hidden by an earlier stage is known, just not visible.
+  EXPECT_EQ(Fused(StrCat("delete ", token_, " | expr ", token_)), "0\n");
+  EXPECT_EQ(Fused(StrCat("delete ", token_, " | depends ", agg_out_, " ",
+                         token_)),
+            "no\n");
+  // Naive materializes the first deletion as dead nodes, fused hides them:
+  // both answer the second deletion the same way.
+  const std::string twice = StrCat("delete ", token_, " | delete ", token_);
+  EXPECT_EQ(Fused(twice), Naive(twice));
+  // The first synthetic zoom node continues shard 0's index space.
+  const NodeId zoomed = MakeNodeId(0, graph_->ShardSize(0));
+  const std::string q = StrCat("zoomout dealer | expr ", zoomed);
+  EXPECT_EQ(Fused(q), Naive(q));
+  EXPECT_EQ(Fused(q).rfind("M<dealer>", 0), 0u) << Fused(q);
+}
+
 TEST_F(PlanEquivalenceTest, DotAndProvioExportsMatchNaiveMaterialization) {
   Result<Plan> plan = ParsePlan(
       StrCat("zoomout dealer | subgraph ", agg_out_), {});

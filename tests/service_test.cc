@@ -115,6 +115,37 @@ TEST_F(ProtocolTest, TruncatedPayloadIsIOError) {
   EXPECT_EQ(got.status().code(), StatusCode::kIOError);
 }
 
+TEST_F(ProtocolTest, HeaderClaimingMaxFrameThenCloseIsIOError) {
+  // A header announcing the largest legal frame, 10 payload bytes, then a
+  // hang-up: a short read, reported without first allocating the claimed
+  // 16 MiB.
+  uint32_t len = service::kMaxFrameBytes;
+  char header[4] = {static_cast<char>(len >> 24), static_cast<char>(len >> 16),
+                    static_cast<char>(len >> 8), static_cast<char>(len)};
+  ASSERT_EQ(::send(fds_[0], header, 4, 0), 4);
+  ASSERT_EQ(::send(fds_[0], "0123456789", 10, 0), 10);
+  ::close(fds_[0]);
+  fds_[0] = -1;
+  Result<std::string> got = service::ReadFrame(fds_[1]);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kIOError);
+}
+
+TEST_F(ProtocolTest, FrameLargerThanOneReadChunkRoundTrips) {
+  // 200 KiB spans several bounded payload reads; the writer runs on its
+  // own thread because the socket buffer holds less than the frame.
+  std::string payload(200 * 1024, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>('a' + i % 26);
+  }
+  std::thread writer(
+      [&] { LIPSTICK_EXPECT_OK(service::WriteFrame(fds_[0], payload)); });
+  Result<std::string> got = service::ReadFrame(fds_[1]);
+  writer.join();
+  LIPSTICK_ASSERT_OK(got.status());
+  EXPECT_EQ(*got, payload);
+}
+
 TEST_F(ProtocolTest, ReadFaultInjection) {
   FaultInjector::FaultSpec spec;
   spec.point = service::kFaultRead;
@@ -433,6 +464,28 @@ TEST_F(ServerTest, ErrorEnvelopeCarriesCodes) {
   Result<std::string> parsed = service::ResponseToResult(*doc);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(ServerTest, UnknownNodeIdIsNotFoundLocallyAndRemotely) {
+  ServiceClient client = StartAndConnect();
+  Result<std::shared_ptr<const LoadedGraph>> loaded = registry_.Get("");
+  LIPSTICK_ASSERT_OK(loaded.status());
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {{"subgraph", {"999999"}},
+       {"expr", {"999999"}},
+       {"depends", {StrCat(ids_[0]), "999999"}},
+       {"zoomout", {"dealer", "|", "delete", "999999", "|", "stats"}}};
+  for (const auto& [op, args] : cases) {
+    Result<std::string> local = service::ExecuteReadQuery(
+        (*loaded)->snapshot, op, args, /*threads=*/1);
+    ASSERT_FALSE(local.ok()) << "op=" << op;
+    EXPECT_EQ(local.status().code(), StatusCode::kNotFound) << "op=" << op;
+    EXPECT_EQ(std::string(local.status().message()),
+              "node 999999 is not in the graph");
+    Result<std::string> remote = client.Query(op, args);
+    ASSERT_FALSE(remote.ok()) << "op=" << op;
+    EXPECT_EQ(remote.status().ToString(), local.status().ToString());
+  }
 }
 
 TEST_F(ServerTest, AdminOps) {

@@ -25,7 +25,8 @@ Subcommands:
       Armed/opt-in overhead metrics are informational: the ceiling is a
       contract about runs that did not ask for observability.
       --update rewrites the baseline from the results instead of
-      comparing (use after an intentional perf change; commit the diff).
+      comparing (use after an intentional perf change; commit the diff),
+      stamping every entry with the recording machine's "hw_threads".
 
 Comparisons are only meaningful between runs at the same
 LIPSTICK_BENCH_SCALE; a scale mismatch for a bench is an error.
@@ -33,6 +34,7 @@ LIPSTICK_BENCH_SCALE; a scale mismatch for a bench is an error.
 
 import argparse
 import json
+import os
 import sys
 
 # "Lower is better" unit suffixes, gated against the baseline.
@@ -82,6 +84,10 @@ def compare(baseline_path, results_path, threshold_pct, update):
         results = json.load(f)["benches"]
 
     if update:
+        # Timings depend on the machine: stamp each entry with the hardware
+        # thread count it was recorded on.
+        for result in results.values():
+            result["hw_threads"] = os.cpu_count()
         with open(baseline_path, "w", encoding="utf-8") as f:
             json.dump({"benches": results}, f, indent=2, sort_keys=True)
             f.write("\n")

@@ -53,7 +53,7 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 
 # The one perf-smoke bench list, shared by the perf stage here and the
 # bench job in .github/workflows/ci.yml (which calls this stage).
-PERF_BENCHES=(bench_prov_size bench_fig7a_zoom bench_fig7b_subgraph_dealerships bench_fig7c_subgraph_arctic bench_obs_overhead bench_fault_overhead bench_wal_overhead bench_analyze bench_pipeline bench_serve)
+PERF_BENCHES=(bench_prov_size bench_fig6a_graph_build_dealerships bench_fig7a_zoom bench_fig7b_subgraph_dealerships bench_fig7c_subgraph_arctic bench_obs_overhead bench_fault_overhead bench_wal_overhead bench_analyze bench_pipeline bench_serve)
 
 # Use ccache when available (CI caches it across runs).
 CMAKE_LAUNCHER_ARGS=()
